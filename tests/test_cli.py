@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +22,23 @@ def run_cli(argv, capsys):
         code = exc.code
     out, err = capsys.readouterr()
     return code, out, err
+
+
+# Byte goldens written by the CLI before its renderer was rewritten: stdout
+# of every subcommand in every format, and the exit code and last stderr
+# line of the error paths.
+GOLDEN_DIR = Path(__file__).parent / "data" / "cli"
+GOLDEN_CASES = json.loads((GOLDEN_DIR / "cases.json").read_text())
+
+
+@pytest.mark.parametrize("case_id", sorted(GOLDEN_CASES))
+def test_cli_matches_golden(case_id, capsys):
+    case = GOLDEN_CASES[case_id]
+    code, out, err = run_cli(case["argv"], capsys)
+    assert code == case["code"]
+    expected = (GOLDEN_DIR / case_id).read_bytes() if code == 0 else b""
+    assert out.encode() == expected
+    assert (err.splitlines() or [""])[-1] == case["stderr_last_line"]
 
 
 # ------------------------------------------------------------ small pieces
