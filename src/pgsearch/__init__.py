@@ -14,128 +14,20 @@ counts, `analysis` compares costs against the natural baselines, and
 `cli` wraps everything in a command-line tool.
 """
 
-from .errors import (
-    BadIndexError,
-    BadKError,
-    BadVariantError,
-    CapExceededError,
-    DegenerateError,
-    InfeasibleError,
-    NonDivisibleError,
-    PartialSearchError,
-    PrecisionError,
-    TooSmallError,
-)
-from .model import (
-    EigenPair,
-    Geometry,
-    ReducedState,
-    Schedule,
-    apply_global,
-    apply_local,
-    block_success_probability,
-    eigensystem,
-    from_class_vector,
-    global_matrix,
-    item_success_probability,
-    local_matrix,
-    make_geometry,
-    norm_squared,
-    run_schedule,
-    to_class_vector,
-    uniform_state,
-)
-from .statevector import (
-    DEFAULT_AMPLITUDE_CAP,
-    FullState,
-    load_state,
-    measure_block_distribution,
-    save_state,
-    sv_apply_global_diffusion,
-    sv_apply_local_diffusion,
-    sv_apply_oracle,
-    sv_reduce,
-    sv_run_schedule,
-    sv_uniform,
-)
-from .optimizer import (
-    OptimalParameters,
-    asymptotic_expansion,
-    asymptotic_optimum,
-    asymptotic_schedule,
-    eta_from_alpha,
-    optimal_exact_schedule,
-    vanishing_residual,
-)
-from .analysis import (
-    ComparisonRow,
-    OperatingRange,
-    comparison_table,
-    effective_local_iterations,
-    final_state_deviation,
-    interrupted_probability,
-    lower_bound_queries,
-    operating_range,
-    partial_search_coefficient,
-    random_pick_coefficient,
-)
+from . import analysis, errors, model, optimizer, statevector
+from .errors import *  # noqa: F401,F403
+from .model import *  # noqa: F401,F403
+from .statevector import *  # noqa: F401,F403
+from .optimizer import *  # noqa: F401,F403
+from .analysis import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BadIndexError",
-    "BadKError",
-    "BadVariantError",
-    "CapExceededError",
-    "ComparisonRow",
-    "DEFAULT_AMPLITUDE_CAP",
-    "EigenPair",
-    "FullState",
-    "Geometry",
-    "InfeasibleError",
-    "NonDivisibleError",
-    "OperatingRange",
-    "OptimalParameters",
-    "PartialSearchError",
-    "PrecisionError",
-    "ReducedState",
-    "Schedule",
-    "TooSmallError",
-    "apply_global",
-    "apply_local",
-    "asymptotic_expansion",
-    "asymptotic_optimum",
-    "asymptotic_schedule",
-    "block_success_probability",
-    "comparison_table",
-    "effective_local_iterations",
-    "eigensystem",
-    "eta_from_alpha",
-    "final_state_deviation",
-    "from_class_vector",
-    "global_matrix",
-    "interrupted_probability",
-    "item_success_probability",
-    "load_state",
-    "local_matrix",
-    "lower_bound_queries",
-    "make_geometry",
-    "measure_block_distribution",
-    "norm_squared",
-    "operating_range",
-    "optimal_exact_schedule",
-    "partial_search_coefficient",
-    "random_pick_coefficient",
-    "run_schedule",
-    "save_state",
-    "sv_apply_global_diffusion",
-    "sv_apply_local_diffusion",
-    "sv_apply_oracle",
-    "sv_reduce",
-    "sv_run_schedule",
-    "sv_uniform",
-    "to_class_vector",
-    "uniform_state",
-    "vanishing_residual",
+    *errors.__all__,
+    *model.__all__,
+    *statevector.__all__,
+    *optimizer.__all__,
+    *analysis.__all__,
     "__version__",
 ]

@@ -11,12 +11,10 @@ Five subcommands cover the library surface:
 Reports go to stdout (or ``--output PATH``) in one of three formats:
 ``text`` (aligned, 6 significant digits), ``json`` (full double
 precision, sorted keys), ``csv`` (RFC-4180 style, header row, LF line
-endings).  Identical invocations produce byte-identical output; the
-optional PGS_THREADS variable caps parallelism in future kernels and by
-contract never changes any output.
+endings).  Identical invocations produce byte-identical output.
 
-Exit codes: 0 success, 2 invalid arguments, 3 no feasible schedule,
-4 resource cap exceeded.
+Exit codes: 0 success, 2 invalid arguments or an unwritable path,
+3 no feasible schedule, 4 resource cap exceeded.
 """
 
 from __future__ import annotations
@@ -26,20 +24,10 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 
-from .analysis import (
-    comparison_table,
-    lower_bound_queries,
-    partial_search_coefficient,
-)
-from .errors import (
-    BadKError,
-    CapExceededError,
-    InfeasibleError,
-    PartialSearchError,
-)
+from .analysis import comparison_table, lower_bound_queries, partial_search_coefficient
+from .errors import BadKError, CapExceededError, InfeasibleError, PartialSearchError
 from .model import (
     Schedule,
     block_success_probability,
@@ -47,33 +35,10 @@ from .model import (
     make_geometry,
     run_schedule,
 )
-from .optimizer import (
-    asymptotic_optimum,
-    asymptotic_schedule,
-    optimal_exact_schedule,
-)
+from .optimizer import asymptotic_optimum, asymptotic_schedule, optimal_exact_schedule
 from .statevector import save_state, sv_reduce, sv_run_schedule
 
-__all__ = ["main", "parse_k_spec", "thread_budget"]
-
-
-def thread_budget() -> int | None:
-    """Optional parallelism cap from the PGS_THREADS variable.
-
-    Today's kernels are single-threaded and deterministic, so the value
-    never influences results; it is parsed so configured environments are
-    accepted and future parallel kernels inherit the same contract.
-    Unset, non-integer, or non-positive values mean "implementation
-    default" (None).
-    """
-    raw = os.environ.get("PGS_THREADS")
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        return None
-    return value if value >= 1 else None
+__all__ = ["main", "parse_k_spec"]
 
 
 def parse_k_spec(spec: str) -> list[float]:
@@ -107,108 +72,65 @@ def parse_k_spec(spec: str) -> list[float]:
     return values
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
+def _int_at_least(lo: int):
+    """Argparse type for integers >= lo."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+        if value < lo:
+            raise argparse.ArgumentTypeError(
+                "must be a positive integer" if lo == 1 else f"must be >= {lo}"
+            )
+        return value
+
+    return parse
 
 
-def _nonneg_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
-    return value
-
-
-def _fmt_text(value) -> str:
+def _cell(value, exact: bool) -> str:
+    """One report cell: floats as repr() when exact, else 6 significant digits."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return format(value, ".6g")
+        return repr(value) if exact else format(value, ".6g")
     return str(value)
 
 
-def _fmt_exact(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _render(fmt: str, rows: list[dict], doc, header=None, transpose=False) -> str:
+    """Render a report: ``doc`` as JSON, or ``rows`` as a CSV or text table.
 
-
-def _jsonable(row: dict) -> dict:
-    out = {}
-    for key, value in row.items():
-        if isinstance(value, float) and math.isinf(value):
-            out[key] = "inf"
-        else:
-            out[key] = value
-    return out
-
-
-def _dump_json(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def _render_rows(fmt: str, cols: list[tuple[str, str]], rows: list[dict]) -> str:
-    """Render row dicts as text table or CSV (JSON is handled per command)."""
+    ``header`` overrides the column names (default: the row keys).  With
+    ``transpose`` the text form prints one ``name  value`` line per column,
+    for single-row reports.
+    """
+    if fmt == "json":
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    header = header or list(rows[0])
     if fmt == "csv":
         sink = io.StringIO()
         writer = csv.writer(sink, lineterminator="\n")
-        writer.writerow([display for display, _ in cols])
-        for row in rows:
-            writer.writerow([_fmt_exact(row[key]) for _, key in cols])
+        writer.writerow(header)
+        writer.writerows([_cell(v, True) for v in row.values()] for row in rows)
         return sink.getvalue()
-    cells = [[_fmt_text(row[key]) for _, key in cols] for row in rows]
-    widths = [
-        max(len(display), max((len(row[i]) for row in cells), default=0))
-        for i, (display, _) in enumerate(cols)
-    ]
-    lines = [
-        "  ".join(d.ljust(w) for (d, _), w in zip(cols, widths)).rstrip()
-    ]
-    for row in cells:
-        lines.append("  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip())
-    return "\n".join(lines) + "\n"
-
-
-def _render_pairs(fmt: str, pairs: list[tuple[str, object]]) -> str:
-    """Render an ordered key/value report (text and CSV forms)."""
-    if fmt == "csv":
-        sink = io.StringIO()
-        writer = csv.writer(sink, lineterminator="\n")
-        writer.writerow([key for key, _ in pairs])
-        writer.writerow([_fmt_exact(value) for _, value in pairs])
-        return sink.getvalue()
-    width = max(len(key) for key, _ in pairs)
-    lines = [f"{key.ljust(width)}  {_fmt_text(value)}" for key, value in pairs]
-    return "\n".join(lines) + "\n"
+    cells = [[_cell(v, False) for v in row.values()] for row in rows]
+    lines = list(zip(header, *cells)) if transpose else [header, *cells]
+    widths = [max(len(cell) for cell in column) for column in zip(*lines)]
+    return "".join(
+        "  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip() + "\n"
+        for line in lines
+    )
 
 
 def cmd_optimize(args) -> str:
     rows = []
     for k in args.k:
         opt = asymptotic_optimum(k)
-        rows.append(
-            {
-                "k": k if math.isinf(k) else int(k),
-                "alpha": opt.alpha,
-                "eta": opt.eta,
-                "c": opt.c,
-            }
-        )
-    if args.format == "json":
-        payload = _jsonable(rows[0]) if len(rows) == 1 else [_jsonable(r) for r in rows]
-        return _dump_json(payload)
-    cols = [("K", "k"), ("alpha", "alpha"), ("eta", "eta"), ("c", "c")]
-    return _render_rows(args.format, cols, rows)
+        k_cell = "inf" if math.isinf(k) else int(k)
+        rows.append({"k": k_cell, "alpha": opt.alpha, "eta": opt.eta, "c": opt.c})
+    doc = rows[0] if len(rows) == 1 else rows
+    return _render(args.format, rows, doc, header=["K", "alpha", "eta", "c"])
 
 
 def _schedule_row(mode: str, g, schedule: Schedule) -> dict:
@@ -226,59 +148,35 @@ def _schedule_row(mode: str, g, schedule: Schedule) -> dict:
 def cmd_schedule(args) -> str:
     g = make_geometry(args.n, args.k)
     rows = [_schedule_row("asymptotic", g, asymptotic_schedule(g))]
+    doc = {"n": args.n, "k": args.k, "schedules": rows}
     if args.exact:
         rows.append(
             _schedule_row("exact", g, optimal_exact_schedule(g, args.threshold))
         )
-    if args.format == "json":
-        payload = {"n": args.n, "k": args.k, "schedules": [_jsonable(r) for r in rows]}
-        if args.exact:
-            payload["threshold"] = args.threshold
-        return _dump_json(payload)
-    cols = [
-        ("mode", "mode"),
-        ("j1", "j1"),
-        ("j2", "j2"),
-        ("trailing_global", "trailing_global"),
-        ("queries", "queries"),
-        ("block_success", "block_success"),
-    ]
-    return _render_rows(args.format, cols, rows)
+        doc["threshold"] = args.threshold
+    return _render(args.format, rows, doc)
 
 
 def cmd_simulate(args) -> str:
     g = make_geometry(args.n, args.k)
     schedule = Schedule(args.j1, args.j2, trailing_global=args.trailing)
-    pairs: list[tuple[str, object]] = [
-        ("n", args.n),
-        ("k", args.k),
-        ("engine", args.engine),
-        ("j1", schedule.j1),
-        ("j2", schedule.j2),
-        ("trailing_global", schedule.trailing_global),
-        ("queries", schedule.queries),
-    ]
-    if args.engine == "reduced":
-        reduced = run_schedule(g, schedule)
-    else:
+    row = {"n": args.n, "k": args.k, "engine": args.engine}
+    if args.engine == "full":
         full = sv_run_schedule(g, args.target, schedule, cap=args.state_cap)
         reduced, coherence = sv_reduce(full)
-        pairs.insert(3, ("target", args.target))
-        pairs.append(("coherence_residual", coherence))
         if args.emit_state:
             save_state(full, args.emit_state)
-    pairs.extend(
-        [
-            ("amp_target", reduced.amp_target),
-            ("amp_ntt", reduced.amp_ntt),
-            ("amp_nb", reduced.amp_nb),
-            ("block_success", block_success_probability(reduced, g)),
-            ("item_success", item_success_probability(reduced)),
-        ]
-    )
-    if args.format == "json":
-        return _dump_json(_jsonable(dict(pairs)))
-    return _render_pairs(args.format, pairs)
+        row["target"] = args.target
+        full_only = {"coherence_residual": coherence}
+    else:
+        reduced = run_schedule(g, schedule)
+        full_only = {}
+    row.update(j1=schedule.j1, j2=schedule.j2, trailing_global=schedule.trailing_global,
+               queries=schedule.queries, **full_only, amp_target=reduced.amp_target,
+               amp_ntt=reduced.amp_ntt, amp_nb=reduced.amp_nb,
+               block_success=block_success_probability(reduced, g),
+               item_success=item_success_probability(reduced))
+    return _render(args.format, [row], row, transpose=True)
 
 
 def cmd_compare(args) -> str:
@@ -286,60 +184,77 @@ def cmd_compare(args) -> str:
     for k in args.k:
         if math.isinf(k):
             raise BadKError("compare requires finite block counts")
-        table_row = comparison_table(int(k), int(k))[0]
-        rows.append(
-            {
-                "k": table_row.n_blocks,
-                "s_coeff": table_row.s_coeff,
-                "r_coeff": table_row.r_coeff,
-                "p_interrupted": table_row.p_interrupted,
-                "c": table_row.c,
-                "note": table_row.note,
-            }
-        )
-    if args.format == "json":
-        return _dump_json([_jsonable(r) for r in rows])
-    cols = [
-        ("K", "k"),
-        ("s_coeff", "s_coeff"),
-        ("r_coeff", "r_coeff"),
-        ("p_interrupted", "p_interrupted"),
-        ("c", "c"),
-        ("note", "note"),
-    ]
-    return _render_rows(args.format, cols, rows)
+        r = comparison_table(int(k), int(k))[0]
+        rows.append({"k": r.n_blocks, "s_coeff": r.s_coeff, "r_coeff": r.r_coeff,
+                     "p_interrupted": r.p_interrupted, "c": r.c, "note": r.note})
+    header = ["K", "s_coeff", "r_coeff", "p_interrupted", "c", "note"]
+    return _render(args.format, rows, rows, header=header)
 
 
 def cmd_bound(args) -> str:
     g = make_geometry(args.n, args.k)
-    asymptotic_cost = partial_search_coefficient(args.k) * math.sqrt(args.n)
-    rows = [
-        {"variant": "basic", "queries": lower_bound_queries(g, "basic")},
-        {"variant": "tighter", "queries": lower_bound_queries(g, "tighter")},
-        {"variant": "alpha_exact", "queries": lower_bound_queries(g, "alpha_exact")},
-        {"variant": "achieved", "queries": asymptotic_schedule(g).queries},
-        {"variant": "achieved_asymptotic", "queries": asymptotic_cost},
-    ]
-    if args.format == "json":
-        payload = {
-            "n": args.n,
-            "k": args.k,
-            "bounds": {row["variant"]: row["queries"] for row in rows},
-        }
-        return _dump_json(payload)
-    cols = [("variant", "variant"), ("queries", "queries")]
-    return _render_rows(args.format, cols, rows)
+    bounds = {
+        "basic": lower_bound_queries(g, "basic"),
+        "tighter": lower_bound_queries(g, "tighter"),
+        "alpha_exact": lower_bound_queries(g, "alpha_exact"),
+        "achieved": asymptotic_schedule(g).queries,
+        "achieved_asymptotic": partial_search_coefficient(args.k) * math.sqrt(args.n),
+    }
+    rows = [{"variant": name, "queries": q} for name, q in bounds.items()]
+    return _render(args.format, rows, {"n": args.n, "k": args.k, "bounds": bounds})
 
 
-def _add_io_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--format", choices=("text", "json", "csv"), default="text",
-        help="report format (default: text, 6 significant digits)",
-    )
-    p.add_argument(
-        "--output", metavar="PATH", default=None,
-        help="write the report to PATH instead of stdout",
-    )
+_N = ("--n", dict(type=_int_at_least(1), required=True, help="database size"))
+_K = ("--k", dict(type=_int_at_least(1), required=True, help="block count"))
+
+
+def _k_spec(examples: str):
+    return ("--k", dict(type=parse_k_spec, required=True, metavar="SPEC",
+                        help=f"block counts, e.g. {examples}"))
+
+
+# name: (handler, help, [(flag, add_argument keywords)]); every subcommand
+# also takes --format and --output.
+_COMMANDS = {
+    "optimize": (
+        cmd_optimize, "closed-form optimal coefficients per block count",
+        [_k_spec('"4", "2..5", "2..5,inf"')],
+    ),
+    "schedule": (
+        cmd_schedule, "integer iteration counts for a concrete database",
+        [_N, _K,
+         ("--exact", dict(action="store_true", help=(
+             "also brute-force the cheapest schedule meeting --threshold"))),
+         ("--threshold", dict(type=float, default=0.99, help=(
+             "block success required by --exact (default 0.99)")))],
+    ),
+    "simulate": (
+        cmd_simulate, "run one schedule and report amplitudes",
+        [_N,
+         ("--k", dict(type=_int_at_least(1), default=2,
+                      help="block count (default 2)")),
+         ("--j1", dict(type=_int_at_least(0), default=0, help="global iterations")),
+         ("--j2", dict(type=_int_at_least(0), default=0, help="local iterations")),
+         ("--trailing", dict(action=argparse.BooleanOptionalAction, default=True,
+                             help="apply the final global iteration (default: yes)")),
+         ("--engine", dict(choices=("reduced", "full"), default="reduced",
+                           help="reduced 3-class dynamics or full state vector")),
+         ("--target", dict(type=_int_at_least(0), default=0,
+                           help="target item index (full engine; default 0)")),
+         ("--emit-state", dict(metavar="PATH", default=None, help=(
+             "write the final full state as a PGSV binary dump"))),
+         ("--state-cap", dict(type=_int_at_least(1), default=None, help=(
+             "override the amplitude cap of the full engine (default 2**24)")))],
+    ),
+    "compare": (
+        cmd_compare, "cost table: blockwise search vs. random block pick",
+        [_k_spec('"2..30"')],
+    ),
+    "bound": (
+        cmd_bound, "query lower bounds vs. the achieved asymptotic cost",
+        [_N, _K],
+    ),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -348,105 +263,37 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Simulate and optimize blockwise (partial) Grover search.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser(
-        "optimize", help="closed-form optimal coefficients per block count"
-    )
-    p.add_argument(
-        "--k", type=parse_k_spec, required=True, metavar="SPEC",
-        help='block counts, e.g. "4", "2..5", "2..5,inf"',
-    )
-    _add_io_flags(p)
-    p.set_defaults(handler=cmd_optimize)
-
-    p = sub.add_parser(
-        "schedule", help="integer iteration counts for a concrete database"
-    )
-    p.add_argument("--n", type=_positive_int, required=True, help="database size")
-    p.add_argument("--k", type=_positive_int, required=True, help="block count")
-    p.add_argument(
-        "--exact", action="store_true",
-        help="also brute-force the cheapest schedule meeting --threshold",
-    )
-    p.add_argument(
-        "--threshold", type=float, default=0.99,
-        help="block success required by --exact (default 0.99)",
-    )
-    _add_io_flags(p)
-    p.set_defaults(handler=cmd_schedule)
-
-    p = sub.add_parser("simulate", help="run one schedule and report amplitudes")
-    p.add_argument("--n", type=_positive_int, required=True, help="database size")
-    p.add_argument(
-        "--k", type=_positive_int, default=2,
-        help="block count (default 2)",
-    )
-    p.add_argument("--j1", type=_nonneg_int, default=0, help="global iterations")
-    p.add_argument("--j2", type=_nonneg_int, default=0, help="local iterations")
-    p.add_argument(
-        "--trailing", action=argparse.BooleanOptionalAction, default=True,
-        help="apply the final global iteration (default: yes)",
-    )
-    p.add_argument(
-        "--engine", choices=("reduced", "full"), default="reduced",
-        help="reduced 3-class dynamics or full state vector",
-    )
-    p.add_argument(
-        "--target", type=_nonneg_int, default=0,
-        help="target item index (full engine; default 0)",
-    )
-    p.add_argument(
-        "--emit-state", metavar="PATH", default=None,
-        help="write the final full state as a PGSV binary dump",
-    )
-    p.add_argument(
-        "--state-cap", type=_positive_int, default=None,
-        help="override the amplitude cap of the full engine (default 2**24)",
-    )
-    _add_io_flags(p)
-    p.set_defaults(handler=cmd_simulate)
-
-    p = sub.add_parser(
-        "compare", help="cost table: blockwise search vs. random block pick"
-    )
-    p.add_argument(
-        "--k", type=parse_k_spec, required=True, metavar="SPEC",
-        help='block counts, e.g. "2..30"',
-    )
-    _add_io_flags(p)
-    p.set_defaults(handler=cmd_compare)
-
-    p = sub.add_parser(
-        "bound", help="query lower bounds vs. the achieved asymptotic cost"
-    )
-    p.add_argument("--n", type=_positive_int, required=True, help="database size")
-    p.add_argument("--k", type=_positive_int, required=True, help="block count")
-    _add_io_flags(p)
-    p.set_defaults(handler=cmd_bound)
-
+    for name, (handler, help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, options in flags:
+            p.add_argument(flag, **options)
+        p.add_argument(
+            "--format", choices=("text", "json", "csv"), default="text",
+            help="report format (default: text, 6 significant digits)",
+        )
+        p.add_argument(
+            "--output", metavar="PATH", default=None,
+            help="write the report to PATH instead of stdout",
+        )
+        p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    thread_budget()  # parsed for the contract; output never depends on it
     if getattr(args, "emit_state", None) and args.engine != "full":
         parser.error("--emit-state requires --engine full")
     try:
         text = args.handler(args)
-    except InfeasibleError as exc:
+        if args.output:
+            with open(args.output, "w", newline="") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except (PartialSearchError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (PartialSearchError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.output:
-        with open(args.output, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        if isinstance(exc, InfeasibleError):
+            return 3
+        return 4 if isinstance(exc, CapExceededError) else 2
     return 0

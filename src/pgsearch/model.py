@@ -156,7 +156,7 @@ def norm_squared(s: ReducedState, g: Geometry) -> float:
 
 def _require_normalized(s: ReducedState, g: Geometry) -> None:
     drift = abs(norm_squared(s, g) - 1.0)
-    if drift > NORM_TOLERANCE:
+    if not drift <= NORM_TOLERANCE:  # also true for NaN
         raise ValueError(f"state is not normalized (|norm^2 - 1| = {drift:.3e})")
 
 

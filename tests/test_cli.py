@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from pgsearch import asymptotic_optimum, load_state
-from pgsearch.cli import main, parse_k_spec, thread_budget
+from pgsearch.cli import main, parse_k_spec
 
 
 def run_cli(argv, capsys):
@@ -55,19 +55,6 @@ def test_parse_k_spec_forms():
 def test_parse_k_spec_rejects(bad):
     with pytest.raises(argparse.ArgumentTypeError):
         parse_k_spec(bad)
-
-
-def test_thread_budget(monkeypatch):
-    monkeypatch.delenv("PGS_THREADS", raising=False)
-    assert thread_budget() is None
-    monkeypatch.setenv("PGS_THREADS", "8")
-    assert thread_budget() == 8
-    monkeypatch.setenv("PGS_THREADS", "0")
-    assert thread_budget() is None
-    monkeypatch.setenv("PGS_THREADS", "abc")
-    assert thread_budget() is None
-    monkeypatch.setenv("PGS_THREADS", "1")
-    assert thread_budget() == 1
 
 
 # ---------------------------------------------------------------- optimize
@@ -341,6 +328,19 @@ def test_output_file_matches_stdout(tmp_path, capsys):
     assert code == 0
     assert piped == ""
     assert path.read_text() == out
+
+
+@pytest.mark.parametrize("flag", ["--output", "--emit-state"])
+def test_unwritable_path_exits_2(tmp_path, capsys, flag):
+    path = tmp_path / "missing" / "report"
+    code, out, err = run_cli(
+        ["simulate", "--n", "16", "--k", "2", "--engine", "full", flag, str(path)],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and str(path) in err
+    assert not path.parent.exists()
 
 
 def test_reports_are_deterministic(capsys, monkeypatch):

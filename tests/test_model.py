@@ -159,11 +159,13 @@ def test_local_is_identity_for_single_item_blocks():
 
 def test_apply_rejects_denormalized_state():
     g = make_geometry(64, 4)
-    bad = model.ReducedState(1.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        apply_global(bad, g)
-    with pytest.raises(ValueError):
-        apply_local(bad, g)
+    # NaN compares false with everything, so it must not slip past the guard
+    for bad in (model.ReducedState(1.0, 1.0, 1.0),
+                model.ReducedState(math.nan, 0.0, 0.0)):
+        with pytest.raises(ValueError):
+            apply_global(bad, g)
+        with pytest.raises(ValueError):
+            apply_local(bad, g)
 
 
 # weighted random states over a wide range of layouts; the reduced model
