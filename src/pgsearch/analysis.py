@@ -182,17 +182,17 @@ def comparison_table(k_min: int, k_max: int) -> list[ComparisonRow]:
         raise BadKError(
             f"block range [{k_min}, {k_max}] outside the supported [2, 10**6]"
         )
-    rows = []
-    for k in range(k_min, k_max + 1):
-        opt = asymptotic_optimum(k)
-        rows.append(
-            ComparisonRow(
-                n_blocks=k,
-                s_coeff=partial_search_coefficient(k),
-                r_coeff=random_pick_coefficient(k),
-                p_interrupted=interrupted_probability(k),
-                c=opt.c,
-                note=MISPRINT_NOTE_K4 if k == 4 else "",
-            )
-        )
-    return rows
+    return [_comparison_row(k) for k in range(k_min, k_max + 1)]
+
+
+def _comparison_row(k: int) -> ComparisonRow:
+    """One comparison row, built from a single asymptotic_optimum(k)."""
+    opt = asymptotic_optimum(k)
+    return ComparisonRow(
+        n_blocks=k,
+        s_coeff=math.pi / 4.0 + (opt.alpha - opt.eta) / math.sqrt(float(k)),
+        r_coeff=random_pick_coefficient(k),
+        p_interrupted=interrupted_probability(k),
+        c=opt.c,
+        note=MISPRINT_NOTE_K4 if k == 4 else "",
+    )

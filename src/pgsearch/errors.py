@@ -7,6 +7,7 @@ __all__ = [
     "PrecisionError",
     "BadIndexError",
     "CapExceededError",
+    "BadStateFileError",
     "DegenerateError",
     "BadKError",
     "BadVariantError",
@@ -36,6 +37,10 @@ class BadIndexError(PartialSearchError, IndexError):
 
 class CapExceededError(PartialSearchError):
     """The requested state vector is larger than the amplitude cap."""
+
+
+class BadStateFileError(PartialSearchError, ValueError):
+    """A PGSV file with a bad header or a payload of the wrong size."""
 
 
 class DegenerateError(PartialSearchError, ValueError):

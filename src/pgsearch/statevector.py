@@ -2,25 +2,25 @@
 
 Everything here works on the complete amplitude vector, so memory is the
 limiting factor: the default cap is 2**24 amplitudes (128 MiB as float64).
-The iteration kernels are the literal reflections, one numpy pass each:
+A global and a local iteration are the same literal reflection, applied in
+place to the one amplitude buffer with a single pass per oracle query:
 
-    oracle            a[t] -> -a[t]
-    global diffusion  a    -> 2*mean(a) - a
-    local diffusion   a    -> 2*block_mean(a) - a   (per block)
+    a[t] -> -a[t],   then   a -> 2*block_mean(a) - a   (per block)
 
-A global iteration is oracle followed by global diffusion; a local
-iteration is oracle followed by block diffusion.  Reductions use numpy's
-pairwise summation, so results are bit-reproducible run to run.
+The global iteration has one block of width N, the local one has K blocks
+of width b.  Reductions use numpy's pairwise summation, so results are
+bit-reproducible run to run.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadIndexError, CapExceededError
+from .errors import BadIndexError, BadStateFileError, CapExceededError
 from .model import Geometry, ReducedState, Schedule, make_geometry
 
 __all__ = [
@@ -29,9 +29,6 @@ __all__ = [
     "PGSV_VERSION",
     "FullState",
     "sv_uniform",
-    "sv_apply_oracle",
-    "sv_apply_global_diffusion",
-    "sv_apply_local_diffusion",
     "sv_run_schedule",
     "sv_reduce",
     "measure_block_distribution",
@@ -44,8 +41,8 @@ DEFAULT_AMPLITUDE_CAP = 1 << 24
 
 PGSV_MAGIC = b"PGSV"
 PGSV_VERSION = 1
-_HEADER = struct.Struct("<4sIQQ")  # magic, version, n_items, n_blocks
-_TARGET = struct.Struct("<Q")
+# magic, version, n_items, n_blocks (the 24-byte header), then the target
+_PREFIX = struct.Struct("<4sIQQQ")
 
 
 @dataclass(frozen=True)
@@ -55,6 +52,13 @@ class FullState:
     amplitudes: np.ndarray
     target_index: int
     geometry: Geometry
+
+
+def _require_target(g: Geometry, target_index: int) -> None:
+    if not 0 <= target_index < g.n_items:
+        raise BadIndexError(
+            f"target index {target_index} outside [0, {g.n_items})"
+        )
 
 
 def sv_uniform(
@@ -70,37 +74,18 @@ def sv_uniform(
         raise CapExceededError(
             f"{g.n_items} amplitudes exceed the cap of {limit}"
         )
-    if not 0 <= target_index < g.n_items:
-        raise BadIndexError(
-            f"target index {target_index} outside [0, {g.n_items})"
-        )
+    _require_target(g, target_index)
     amps = np.full(g.n_items, 1.0 / np.sqrt(g.n_items))
     return FullState(amps, target_index, g)
 
 
-def sv_apply_oracle(state: FullState) -> FullState:
-    """Flip the sign of the target amplitude (norm unchanged bit-exact)."""
-    amps = state.amplitudes.copy()
-    amps[state.target_index] = -amps[state.target_index]
-    return FullState(amps, state.target_index, state.geometry)
-
-
-def sv_apply_global_diffusion(state: FullState) -> FullState:
-    """Reflect about the uniform state: a -> 2*mean(a) - a."""
-    amps = state.amplitudes
-    out = 2.0 * amps.mean() - amps
-    return FullState(out, state.target_index, state.geometry)
-
-
-def sv_apply_local_diffusion(state: FullState) -> FullState:
-    """Reflect about the per-block uniform state, each block independently.
-
-    Block-uniform input blocks are fixed points (up to float roundoff).
-    """
-    g = state.geometry
-    blocks = state.amplitudes.reshape(g.n_blocks, g.block_size)
-    out = 2.0 * blocks.mean(axis=1, keepdims=True) - blocks
-    return FullState(out.reshape(-1), state.target_index, state.geometry)
+def _iterate(amps: np.ndarray, target_index: int, width: int) -> None:
+    """One oracle query in place: flip the target, then reflect every
+    ``width``-wide block about its mean (``width = n_items`` is the global
+    iteration, ``width = block_size`` the local one)."""
+    amps[target_index] = -amps[target_index]
+    rows = amps.reshape(-1, width)
+    np.subtract(2.0 * rows.mean(axis=1, keepdims=True), rows, out=rows)
 
 
 def sv_run_schedule(
@@ -112,11 +97,11 @@ def sv_run_schedule(
     """Run the schedule on the uniform state, mirroring ``run_schedule``."""
     state = sv_uniform(g, target_index, cap)
     for _ in range(schedule.j1):
-        state = sv_apply_global_diffusion(sv_apply_oracle(state))
+        _iterate(state.amplitudes, target_index, g.n_items)
     for _ in range(schedule.j2):
-        state = sv_apply_local_diffusion(sv_apply_oracle(state))
+        _iterate(state.amplitudes, target_index, g.block_size)
     if schedule.trailing_global:
-        state = sv_apply_global_diffusion(sv_apply_oracle(state))
+        _iterate(state.amplitudes, target_index, g.n_items)
     return state
 
 
@@ -129,25 +114,20 @@ def sv_reduce(state: FullState) -> tuple[ReducedState, float]:
     schedules stay within ~1e-12 of their representatives; anything larger
     means the state left the invariant subspace.
     """
-    g = state.geometry
-    b = g.block_size
-    amps = state.amplitudes
-    t = state.target_index
-    start = (t // b) * b
-
-    inside = np.delete(amps[start : start + b], t - start)
-    outside = np.delete(amps, np.s_[start : start + b])
-
-    amp_ntt = float(inside[0]) if inside.size else 0.0
-    amp_nb = float(outside[0]) if outside.size else 0.0
-
-    residual = 0.0
-    if inside.size:
-        residual = float(np.abs(inside - amp_ntt).max())
-    if outside.size:
-        residual = max(residual, float(np.abs(outside - amp_nb).max()))
-
-    return ReducedState(float(amps[t]), amp_ntt, amp_nb), residual
+    b = state.geometry.block_size
+    amps, t = state.amplitudes, state.target_index
+    start = t - t % b
+    inside = (amps[start:t], amps[t + 1 : start + b])
+    outside = (amps[:start], amps[start + b :])
+    reps, residual = [], 0.0
+    for parts in (inside, outside):
+        parts = [p for p in parts if p.size]
+        rep = float(parts[0][0]) if parts else 0.0
+        reps.append(rep)
+        for p in parts:
+            # the exact max |p - rep|, since float subtraction is monotone
+            residual = np.maximum(residual, np.maximum(p.max() - rep, rep - p.min()))
+    return ReducedState(float(amps[t]), *reps), float(residual)
 
 
 def measure_block_distribution(state: FullState) -> np.ndarray:
@@ -166,21 +146,30 @@ def save_state(state: FullState, path) -> None:
     """
     g = state.geometry
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(PGSV_MAGIC, PGSV_VERSION, g.n_items, g.n_blocks))
-        fh.write(_TARGET.pack(state.target_index))
+        fh.write(_PREFIX.pack(PGSV_MAGIC, PGSV_VERSION, g.n_items, g.n_blocks,
+                              state.target_index))
         fh.write(np.ascontiguousarray(state.amplitudes, dtype="<f8").tobytes())
 
 
 def load_state(path) -> FullState:
-    """Read a PGSV dump back; inverse of :func:`save_state`."""
+    """Read a PGSV dump back; inverse of :func:`save_state`.
+
+    Header, geometry, target and file size are checked before the payload
+    is read; a malformed header or payload raises BadStateFileError.
+    """
     with open(path, "rb") as fh:
-        magic, version, n_items, n_blocks = _HEADER.unpack(fh.read(_HEADER.size))
+        prefix = fh.read(_PREFIX.size)
+        if len(prefix) != _PREFIX.size:
+            raise BadStateFileError(f"PGSV header cut short at {len(prefix)} bytes")
+        magic, version, n_items, n_blocks, target_index = _PREFIX.unpack(prefix)
         if magic != PGSV_MAGIC:
-            raise ValueError(f"not a PGSV file (magic {magic!r})")
+            raise BadStateFileError(f"not a PGSV file (magic {magic!r})")
         if version != PGSV_VERSION:
-            raise ValueError(f"unsupported PGSV version {version}")
-        (target_index,) = _TARGET.unpack(fh.read(_TARGET.size))
-        data = fh.read(8 * n_items)
-    amps = np.frombuffer(data, dtype="<f8").astype(np.float64)
-    g = make_geometry(n_items, n_blocks)
-    return FullState(amps, target_index, g)
+            raise BadStateFileError(f"unsupported PGSV version {version}")
+        g = make_geometry(n_items, n_blocks)
+        _require_target(g, target_index)
+        payload = os.fstat(fh.fileno()).st_size - _PREFIX.size
+        if payload != 8 * n_items:
+            raise BadStateFileError(f"payload has {payload} bytes, not {8 * n_items}")
+        amps = np.fromfile(fh, dtype="<f8", count=n_items)
+    return FullState(amps.astype(np.float64, copy=False), target_index, g)

@@ -8,6 +8,7 @@ import pytest
 
 from pgsearch import (
     BadIndexError,
+    BadStateFileError,
     CapExceededError,
     FullState,
     Schedule,
@@ -18,9 +19,6 @@ from pgsearch import (
     run_schedule,
     save_state,
     load_state,
-    sv_apply_global_diffusion,
-    sv_apply_local_diffusion,
-    sv_apply_oracle,
     sv_reduce,
     sv_run_schedule,
     sv_uniform,
@@ -49,59 +47,60 @@ def test_sv_uniform_cap_and_target_checks():
     assert st.amplitudes.shape == (2**25,)
 
 
-def test_oracle_flips_only_target():
-    st = sv_uniform(make_geometry(4, 2), 0)
-    flipped = sv_apply_oracle(st)
-    np.testing.assert_array_equal(flipped.amplitudes, [-0.5, 0.5, 0.5, 0.5])
-    back = sv_apply_oracle(flipped)
-    np.testing.assert_array_equal(back.amplitudes, st.amplitudes)
-
-
 def test_global_diffusion_hand_case():
-    st = sv_apply_oracle(sv_uniform(make_geometry(4, 2), 0))
-    out = sv_apply_global_diffusion(st)
-    np.testing.assert_allclose(out.amplitudes, [1.0, 0.0, 0.0, 0.0], atol=1e-15)
-
-
-def test_global_diffusion_fixes_uniform():
-    st = sv_uniform(make_geometry(64, 4), 11)
-    out = sv_apply_global_diffusion(st)
-    np.testing.assert_allclose(out.amplitudes, st.amplitudes, atol=1e-15)
+    st = sv_run_schedule(make_geometry(4, 2), 0, Schedule(1, 0, False))
+    np.testing.assert_allclose(st.amplitudes, [1.0, 0.0, 0.0, 0.0], atol=1e-15)
 
 
 def test_local_diffusion_hand_case():
-    g = make_geometry(4, 2)
-    st = FullState(np.array([-0.5, 0.5, 0.5, 0.5]), 0, g)
-    out = sv_apply_local_diffusion(st)
-    # block 0 mean is 0, so its entries flip; block 1 is block-uniform
-    np.testing.assert_allclose(out.amplitudes, [0.5, -0.5, 0.5, 0.5], atol=1e-15)
-
-
-def test_local_diffusion_fixes_block_uniform():
-    st = sv_uniform(make_geometry(256, 8), 3)
-    out = sv_apply_local_diffusion(st)
-    np.testing.assert_allclose(out.amplitudes, st.amplitudes, atol=1e-15)
+    st = sv_run_schedule(make_geometry(4, 2), 0, Schedule(0, 1, False))
+    # the oracle zeroes block 0's mean, so its entries flip; block 1 is
+    # block-uniform and stays put
+    np.testing.assert_allclose(st.amplitudes, [0.5, -0.5, 0.5, 0.5], atol=1e-15)
 
 
 @pytest.mark.parametrize("n, k, target", [(64, 4, 0), (64, 4, 17), (256, 2, 255)])
 def test_single_iterations_match_reduced_engine(n, k, target):
     g = make_geometry(n, k)
+    for schedule, step in ((Schedule(1, 0, False), apply_global),
+                           (Schedule(0, 1, False), apply_local)):
+        reduced, residual = sv_reduce(sv_run_schedule(g, target, schedule))
+        expect = step(uniform_state(g), g)
+        assert residual <= 1e-13
+        assert reduced.amp_target == pytest.approx(expect.amp_target, abs=1e-13)
+        assert reduced.amp_ntt == pytest.approx(expect.amp_ntt, abs=1e-13)
+        assert reduced.amp_nb == pytest.approx(expect.amp_nb, abs=1e-13)
 
-    st = sv_apply_global_diffusion(sv_apply_oracle(sv_uniform(g, target)))
-    reduced, residual = sv_reduce(st)
-    expect = apply_global(uniform_state(g), g)
-    assert residual <= 1e-13
-    assert reduced.amp_target == pytest.approx(expect.amp_target, abs=1e-13)
-    assert reduced.amp_ntt == pytest.approx(expect.amp_ntt, abs=1e-13)
-    assert reduced.amp_nb == pytest.approx(expect.amp_nb, abs=1e-13)
 
-    st = sv_apply_local_diffusion(sv_apply_oracle(sv_uniform(g, target)))
-    reduced, residual = sv_reduce(st)
-    expect = apply_local(uniform_state(g), g)
-    assert residual <= 1e-13
-    assert reduced.amp_target == pytest.approx(expect.amp_target, abs=1e-13)
-    assert reduced.amp_ntt == pytest.approx(expect.amp_ntt, abs=1e-13)
-    assert reduced.amp_nb == pytest.approx(expect.amp_nb, abs=1e-13)
+def _reference_run(g, target, schedule):
+    """Literal copy-per-step schedule: a fresh array for every oracle flip
+    and every reflection, the block means taken by numpy's pairwise mean."""
+    a = np.full(g.n_items, 1.0 / np.sqrt(g.n_items))
+    widths = ([g.n_items] * schedule.j1 + [g.block_size] * schedule.j2
+              + [g.n_items] * schedule.trailing_global)
+    for width in widths:
+        a = a.copy()
+        a[target] = -a[target]
+        blocks = a.reshape(-1, width)
+        a = (2.0 * blocks.mean(axis=1, keepdims=True) - blocks).reshape(-1)
+    return a
+
+
+@pytest.mark.parametrize(
+    "n, k, target, sch",
+    [
+        (64, 1, 5, Schedule(3, 0, True)),
+        (64, 64, 63, Schedule(2, 5, True)),
+        (1155, 5, 700, Schedule(10, 4, True)),
+        (1155, 3, 1154, Schedule(9, 9, False)),
+        (1024, 4, 300, Schedule(13, 5, True)),
+        (4096, 16, 0, Schedule(12, 3, True)),
+    ],
+)
+def test_run_schedule_bit_identical_to_copy_per_step_reference(n, k, target, sch):
+    g = make_geometry(n, k)
+    got = sv_run_schedule(g, target, sch).amplitudes
+    assert np.array_equal(got, _reference_run(g, target, sch))
 
 
 def test_sv_run_schedule_n4_single_global():
@@ -172,10 +171,7 @@ def test_target_position_only_permutes_blocks():
 
 
 def test_norm_drift_stays_tiny_over_many_iterations():
-    st = sv_uniform(make_geometry(256, 4), 9)
-    for _ in range(5000):
-        st = sv_apply_global_diffusion(sv_apply_oracle(st))
-        st = sv_apply_local_diffusion(sv_apply_oracle(st))
+    st = sv_run_schedule(make_geometry(256, 4), 9, Schedule(5000, 5000, True))
     norm = float(np.linalg.norm(st.amplitudes))
     assert abs(norm - 1.0) <= 1e-9
 
@@ -190,6 +186,34 @@ def test_sv_reduce_residual_detects_perturbation():
     amps[1] += 1e-3
     reduced, residual = sv_reduce(FullState(amps, 0, g))
     assert residual >= 1e-3
+
+
+def _reference_reduce(state):
+    """sv_reduce written with np.delete copies of each class."""
+    b, amps, t = state.geometry.block_size, state.amplitudes, state.target_index
+    start = (t // b) * b
+    inside = np.delete(amps[start : start + b], t - start)
+    outside = np.delete(amps, np.s_[start : start + b])
+    reps = [float(c[0]) if c.size else 0.0 for c in (inside, outside)]
+    residual = max([float(np.abs(c - r).max()) for c, r in zip((inside, outside), reps)
+                    if c.size], default=0.0)
+    return reps, residual
+
+
+@pytest.mark.parametrize(
+    "n, k, target",
+    [(64, 4, 0), (64, 4, 17), (64, 4, 63), (64, 1, 30), (64, 64, 40), (1155, 5, 693)],
+)
+def test_sv_reduce_matches_delete_reference(n, k, target):
+    g = make_geometry(n, k)
+    amps = sv_run_schedule(g, target, Schedule(2, 1, True)).amplitudes
+    amps += np.random.default_rng(n + target).normal(scale=1e-6, size=n)
+    state = FullState(amps, target, g)
+    reduced, residual = sv_reduce(state)
+    reps, want = _reference_reduce(state)
+    assert reduced.amp_target == amps[target]
+    assert [reduced.amp_ntt, reduced.amp_nb] == reps
+    assert residual == want
 
 
 def test_snapshot_round_trip(tmp_path):
@@ -228,4 +252,26 @@ def test_snapshot_rejects_garbage(tmp_path):
     raw[4:8] = struct.pack("<I", 99)  # unsupported version
     path.write_bytes(bytes(raw))
     with pytest.raises(ValueError):
+        load_state(path)
+
+
+@pytest.mark.parametrize(
+    "corrupt, error",
+    [
+        pytest.param(lambda raw: raw[:-80], BadStateFileError, id="truncated"),
+        pytest.param(lambda raw: raw[:10], BadStateFileError, id="short-header"),
+        pytest.param(lambda raw: raw + bytes(8), BadStateFileError, id="trailing-bytes"),
+        pytest.param(lambda raw: raw[:24] + struct.pack("<Q", 999) + raw[32:],
+                     BadIndexError, id="target-out-of-range"),
+        # n_items forged to 2**53: rejected by the size check, before any read
+        pytest.param(lambda raw: raw[:8] + struct.pack("<Q", 2**53) + raw[16:],
+                     BadStateFileError, id="forged-size"),
+    ],
+)
+def test_snapshot_rejects_corrupt_files(tmp_path, corrupt, error):
+    good = tmp_path / "good.pgsv"
+    save_state(sv_uniform(make_geometry(64, 4), 21), good)
+    path = tmp_path / "bad.pgsv"
+    path.write_bytes(corrupt(good.read_bytes()))
+    with pytest.raises(error):
         load_state(path)
