@@ -38,6 +38,11 @@ MISPRINT_NOTE_K4 = (
 )
 
 
+#: Largest block count the comparison table covers, and the most values
+#: one command-line block-count spec may expand to.
+MAX_TABLE_K = 10**6
+
+
 @dataclass(frozen=True)
 class ComparisonRow:
     """One line of the cost comparison for a given block count."""
@@ -98,7 +103,8 @@ def operating_range(p_threshold: float) -> OperatingRange:
 
     ``k_min`` is fixed at 3 (below that the interrupted run carries no
     information).  ``k_max`` is the closed-form endpoint floor(3/(1-p));
-    ``k_max_exact`` scans the exact success law.  ``p_threshold`` must lie
+    ``k_max_exact`` is the largest K with (K-2)**2 <= p*K*(K-1), decided in
+    integer arithmetic on the exact value of ``p``.  ``p_threshold`` must lie
     in (0, 1]; the limiting value 1.0 returns infinite endpoints, since
     every block count then qualifies.
     """
@@ -109,15 +115,13 @@ def operating_range(p_threshold: float) -> OperatingRange:
 
     k_max = math.floor(3.0 / (1.0 - p_threshold))
 
-    # Exact endpoint: (K-2)^2 <= p*K*(K-1) is a quadratic in K; start from
-    # its larger root and correct locally so float noise cannot bite.
-    p = p_threshold
-    disc = (4.0 - p) ** 2 - 16.0 * (1.0 - p)
-    root = (4.0 - p + math.sqrt(disc)) / (2.0 * (1.0 - p))
-    ke = max(2, math.floor(root))
-    while interrupted_probability(ke + 1) <= p:
+    # The exact endpoint is k_max or k_max - 1 up to the rounding of k_max,
+    # so a few integer steps from it reach the largest qualifying K.
+    num, den = p_threshold.as_integer_ratio()
+    ke = max(2, k_max)
+    while (ke - 1) ** 2 * den <= num * (ke + 1) * ke:
         ke += 1
-    while ke > 2 and interrupted_probability(ke) > p:
+    while (ke - 2) ** 2 * den > num * ke * (ke - 1):
         ke -= 1
     return OperatingRange(3, k_max, ke)
 
@@ -157,7 +161,10 @@ def lower_bound_queries(g: Geometry, variant: str) -> float:
     variant "alpha_exact": pi*sqrt(N)/4 + (alpha_K/2 - pi/4)*sqrt(b)
 
     The variants are ordered basic <= tighter <= alpha_exact, and all sit
-    below the achieved pi*sqrt(N)/4 + (alpha_K - eta_K)*sqrt(b).
+    below the achieved pi*sqrt(N)/4 + (alpha_K - eta_K)*sqrt(b).  They hold
+    asymptotically, for near-certain success (Grover & Radhakrishnan,
+    quant-ph/0407122): at finite N a schedule with a success threshold
+    below 1 can use fewer queries.
     """
     sqrt_n = math.sqrt(g.n_items)
     sqrt_b = math.sqrt(g.block_size)
@@ -178,7 +185,7 @@ def comparison_table(k_min: int, k_max: int) -> list[ComparisonRow]:
     Coefficients are per sqrt(N) and independent of the database size.
     The K = 4 row carries the misprint note (see MISPRINT_NOTE_K4).
     """
-    if not 2 <= k_min <= k_max <= 10**6:
+    if not 2 <= k_min <= k_max <= MAX_TABLE_K:
         raise BadKError(
             f"block range [{k_min}, {k_max}] outside the supported [2, 10**6]"
         )

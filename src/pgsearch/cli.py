@@ -26,7 +26,12 @@ import json
 import math
 import sys
 
-from .analysis import comparison_table, lower_bound_queries, partial_search_coefficient
+from .analysis import (
+    MAX_TABLE_K,
+    comparison_table,
+    lower_bound_queries,
+    partial_search_coefficient,
+)
 from .errors import BadKError, CapExceededError, InfeasibleError, PartialSearchError
 from .model import (
     Schedule,
@@ -42,7 +47,8 @@ __all__ = ["main", "parse_k_spec"]
 
 
 def parse_k_spec(spec: str) -> list[float]:
-    """Parse block-count specs like ``"4"``, ``"2..5"``, or ``"2..5,inf"``."""
+    """Parse block-count specs like ``"4"``, ``"2..5"``, or ``"2..5,inf"``;
+    at most MAX_TABLE_K values, counted before any range is expanded."""
     values: list[float] = []
     for token in spec.split(","):
         token = token.strip()
@@ -60,6 +66,10 @@ def parse_k_spec(spec: str) -> list[float]:
             if hi < lo:
                 raise argparse.ArgumentTypeError(
                     f"descending block-count range {token!r}"
+                )
+            if len(values) + hi - lo + 1 > MAX_TABLE_K:
+                raise argparse.ArgumentTypeError(
+                    f"block-count spec {spec!r} has more than {MAX_TABLE_K} values"
                 )
             values.extend(float(k) for k in range(lo, hi + 1))
             continue

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,7 +103,7 @@ class Schedule:
     trailing_global: bool = True
 
     def __post_init__(self):
-        if self.j1 < 0 or self.j2 < 0:
+        if operator.index(self.j1) < 0 or operator.index(self.j2) < 0:
             raise ValueError("iteration counts must be non-negative")
 
     @property
@@ -124,8 +125,10 @@ def make_geometry(n_items: int, n_blocks: int) -> Geometry:
     """Validate the layout and precompute the two rotation half-angles.
 
     Raises TooSmallError for n_items < 2, PrecisionError beyond 2**53,
-    and NonDivisibleError when n_blocks does not divide n_items.
+    and NonDivisibleError when n_blocks does not divide n_items.  Sizes
+    must be integers (``operator.index``); floats raise TypeError.
     """
+    n_items, n_blocks = operator.index(n_items), operator.index(n_blocks)
     if n_items < 2:
         raise TooSmallError(f"need at least 2 items, got {n_items}")
     if n_items > MAX_ITEMS:
@@ -182,13 +185,12 @@ def apply_local(s: ReducedState, g: Geometry) -> ReducedState:
     Same construction as :func:`apply_global` but restricted to each block:
     only the target block moves (a 2x2 rotation of the target and in-block
     rest amplitudes); blocks without the target are fixed points, so
-    ``amp_nb`` is returned bit-exact.  Single-item blocks (b == 1) have no
-    in-block rest direction; by convention the map is then the identity.
+    ``amp_nb`` is returned bit-exact.  For single-item blocks (b == 1) the
+    in-block reflection is the identity, so the step is the oracle flip
+    alone; the then weightless ``amp_ntt`` carries no probability.
     """
     _require_normalized(s, g)
     b = g.block_size
-    if b == 1:
-        return s
     sqrt_b = math.sqrt(b)
     flipped = -s.amp_target
     overlap = (flipped + (b - 1) * s.amp_ntt) / sqrt_b
@@ -265,8 +267,6 @@ def local_matrix(g: Geometry) -> np.ndarray:
     """3x3 matrix of the local iteration in the orthonormal class basis:
     a rotation by 2*theta2 of the first two coordinates."""
     b = g.block_size
-    if b == 1:
-        return np.eye(3)
     c = 1.0 - 2.0 / b
     s = 2.0 * math.sqrt(b - 1) / b
     return np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])

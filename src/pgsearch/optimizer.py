@@ -170,8 +170,7 @@ def optimal_exact_schedule(
     ties toward smaller j2 and then smaller j1.  Raises InfeasibleError
     when no candidate in the box qualifies.
     """
-    if g.n_blocks < 2:
-        raise BadKError(f"need at least 2 blocks, got {g.n_blocks}")
+    _check_k(g.n_blocks)
     if not 0.0 < success_threshold < 1.0:
         raise ValueError(f"threshold must lie in (0, 1), got {success_threshold}")
 

@@ -148,7 +148,7 @@ def save_state(state: FullState, path) -> None:
     with open(path, "wb") as fh:
         fh.write(_PREFIX.pack(PGSV_MAGIC, PGSV_VERSION, g.n_items, g.n_blocks,
                               state.target_index))
-        fh.write(np.ascontiguousarray(state.amplitudes, dtype="<f8").tobytes())
+        state.amplitudes.astype("<f8", copy=False).tofile(fh)
 
 
 def load_state(path) -> FullState:

@@ -1,8 +1,11 @@
 """Cost comparisons, interrupted runs, deviations, and query bounds."""
 
 import math
+import time
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from pgsearch import (
     BadKError,
@@ -19,6 +22,7 @@ from pgsearch import (
     lower_bound_queries,
     make_geometry,
     operating_range,
+    optimal_exact_schedule,
     partial_search_coefficient,
     random_pick_coefficient,
 )
@@ -99,6 +103,44 @@ def test_operating_range_at_90_percent():
 def test_operating_range_at_50_percent():
     r = operating_range(0.5)
     assert (r.k_min, r.k_max, r.k_max_exact) == (3, 6, 5)
+
+
+def test_operating_range_at_99_percent():
+    r = operating_range(0.99)
+    assert (r.k_min, r.k_max, r.k_max_exact) == (3, 299, 299)
+
+
+def _k_max_reference(p: float) -> int:
+    """Largest K >= 2 with (K-2)**2/(K*(K-1)) <= p, by bisection on the
+    exact rational law (it increases with K)."""
+    p = Fraction(p)
+
+    def qualifies(k):
+        return Fraction((k - 2) ** 2, k * (k - 1)) <= p
+
+    lo, hi = 2, int(4 / (1 - p)) + 3
+    assert qualifies(lo) and not qualifies(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if qualifies(mid) else (lo, mid)
+    return lo
+
+
+@given(st.floats(min_value=0.0, max_value=1 - 1e-6, exclude_min=True))
+def test_operating_range_exact_endpoint_matches_rational_reference(p):
+    assert operating_range(p).k_max_exact == _k_max_reference(p)
+
+
+@pytest.mark.parametrize(
+    "p, expected",
+    [(1 - 1e-9, 3000000084), (1 - 1e-12, 3000066366628),
+     (1 - 2**-53, 3 * 2**53 - 1)],
+)
+def test_operating_range_near_certainty_is_exact_and_fast(p, expected):
+    start = time.perf_counter()
+    assert operating_range(p).k_max_exact == expected
+    assert time.perf_counter() - start < 1.0
+    assert expected == _k_max_reference(p)
 
 
 def test_operating_range_at_certainty():
@@ -246,6 +288,19 @@ def test_lower_bounds_are_ordered_and_below_achieved(n, k):
     achieved = math.pi * math.sqrt(n) / 4.0 - opt.c * math.sqrt(n // k)
     assert basic < tighter < alpha_exact < achieved
     assert achieved <= asymptotic_schedule(g).queries + 1
+
+
+def test_lower_bounds_are_asymptotic_not_strict():
+    # The bounds hold for near-certain success as N grows; at finite N a
+    # schedule with threshold < 1 can use fewer queries than they allow.
+    g = make_geometry(4096, 64)
+    basic = lower_bound_queries(g, "basic")
+    tighter = lower_bound_queries(g, "tighter")
+    alpha_exact = lower_bound_queries(g, "alpha_exact")
+    assert (basic, tighter, alpha_exact) == pytest.approx((43.98, 46.08, 46.09),
+                                                          abs=0.01)
+    assert optimal_exact_schedule(g, 0.9).queries == 38 < basic
+    assert optimal_exact_schedule(g, 0.99).queries == 45 < tighter < alpha_exact
 
 
 def test_lower_bounds_unknown_variant():

@@ -57,6 +57,16 @@ def test_parse_k_spec_rejects(bad):
         parse_k_spec(bad)
 
 
+def test_oversized_k_spec_is_refused_before_expansion(capsys):
+    # 10**9 values would need tens of GiB; the count is checked first
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--k", "2..1000000000"])
+    assert exc.value.code == 2
+    assert "more than 1000000 values" in capsys.readouterr().err
+    with pytest.raises(argparse.ArgumentTypeError):
+        parse_k_spec("1..10,1..1000000")  # the count spans all ranges
+
+
 # ---------------------------------------------------------------- optimize
 
 def test_optimize_text_single_k(capsys):

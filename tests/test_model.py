@@ -68,6 +68,12 @@ def test_geometry_errors():
         make_geometry(2**54, 2)
     with pytest.raises(NonDivisibleError):
         make_geometry(8, 0)
+    # sizes must be integers, as for range(); numpy integers are integers
+    with pytest.raises(TypeError):
+        make_geometry(16.0, 4)
+    with pytest.raises(TypeError):
+        make_geometry(16, 4.0)
+    assert make_geometry(np.int64(16), np.int64(4)).block_size == 4
 
 
 def test_uniform_state_values():
@@ -151,10 +157,15 @@ def test_local_preserves_outside_amplitude_bit_exact():
         assert s.amp_nb == before  # bit-exact, not approx
 
 
-def test_local_is_identity_for_single_item_blocks():
+def test_local_flips_target_for_single_item_blocks():
+    # with b == 1 the in-block reflection is the identity, so a local
+    # iteration is the oracle flip alone
     g = make_geometry(16, 16)
     s = uniform_state(g)
-    assert apply_local(s, g) == s
+    out = apply_local(s, g)
+    assert out.amp_target == -s.amp_target
+    assert out.amp_nb == s.amp_nb
+    np.testing.assert_array_equal(local_matrix(g), np.diag([-1.0, -1.0, 1.0]))
 
 
 def test_apply_rejects_denormalized_state():
@@ -213,6 +224,11 @@ def test_schedule_rejects_negative_counts():
         Schedule(-1, 0)
     with pytest.raises(ValueError):
         Schedule(0, -2, False)
+    with pytest.raises(TypeError):
+        Schedule(1.5, 0)
+    with pytest.raises(TypeError):
+        Schedule(0, 2.0)
+    assert Schedule(np.int64(2), np.int64(3)).queries == 6
 
 
 def test_run_schedule_single_trailing_global_n4():
@@ -293,17 +309,18 @@ def test_matrices_are_orthogonal(n, k):
 
 
 def test_matrix_route_matches_applies():
-    g = make_geometry(1024, 4)
-    v = to_class_vector(uniform_state(g), g)
-    s = uniform_state(g)
-    gm, lm = global_matrix(g), local_matrix(g)
-    for _ in range(7):
-        v = gm @ v
-        s = apply_global(s, g)
-    for _ in range(9):
-        v = lm @ v
-        s = apply_local(s, g)
-    np.testing.assert_allclose(v, to_class_vector(s, g), atol=1e-12)
+    for n, k in ((1024, 4), (64, 64)):  # K = N: single-item blocks
+        g = make_geometry(n, k)
+        v = to_class_vector(uniform_state(g), g)
+        s = uniform_state(g)
+        gm, lm = global_matrix(g), local_matrix(g)
+        for _ in range(7):
+            v = gm @ v
+            s = apply_global(s, g)
+        for _ in range(9):
+            v = lm @ v
+            s = apply_local(s, g)
+        np.testing.assert_allclose(v, to_class_vector(s, g), atol=1e-12)
 
 
 def test_class_vector_round_trip():

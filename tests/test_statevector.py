@@ -115,6 +115,12 @@ def test_sv_run_schedule_n4_single_global():
         (256, 4, Schedule(7, 4, False), 100),
         (1024, 2, Schedule(0, 18, True), 700),
         (4096, 16, Schedule(12, 3, True), 4095),
+        # an odd local count in single-item blocks (K = N) leaves the target
+        # sign flipped: a local step there is the oracle flip alone; b = 2
+        # is the smallest block with a rest class
+        (16, 16, Schedule(1, 1), 3),
+        (64, 64, Schedule(2, 5), 3),
+        (64, 32, Schedule(1, 3), 3),
     ],
 )
 def test_full_run_matches_reduced_run(n, k, sch, target):
