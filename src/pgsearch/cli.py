@@ -261,7 +261,8 @@ _COMMANDS = {
         [_k_spec('"2..30"')],
     ),
     "bound": (
-        cmd_bound, "query lower bounds vs. the achieved asymptotic cost",
+        cmd_bound, ("query lower bounds (asymptotic, for near-certain "
+                    "success) vs. the achieved asymptotic cost"),
         [_N, _K],
     ),
 }

@@ -17,8 +17,9 @@ subject to the vanishing constraint tying eta to alpha,
 
 The query count is then pi*sqrt(N)/4 - c_K*sqrt(b) + O(1) with speedup
 coefficient c_K = eta_K - alpha_K.  For finite sizes,
-:func:`optimal_exact_schedule` brute-forces the integer optimum with the
-reduced engine.
+:func:`optimal_exact_schedule` finds the integer optimum with the reduced
+engine: it scans a search box row by row from shared prefix states and
+cuts a row off once it cannot beat the best candidate so far.
 """
 
 from __future__ import annotations
@@ -27,7 +28,14 @@ import math
 from dataclasses import dataclass
 
 from .errors import BadKError, InfeasibleError
-from .model import Geometry, Schedule, block_success_probability, run_schedule
+from .model import (
+    Geometry,
+    Schedule,
+    apply_global,
+    apply_local,
+    block_success_probability,
+    uniform_state,
+)
 
 __all__ = [
     "OptimalParameters",
@@ -164,11 +172,18 @@ def optimal_exact_schedule(
     """Exhaustive integer search for the cheapest adequate schedule.
 
     Scans j1 in [0, ceil(pi*sqrt(N)/4)] and j2 in [0, ceil(pi*sqrt(b)/2)],
-    always with the trailing global, evaluating each candidate with
-    :func:`run_schedule`.  Returns the schedule of minimal query count
-    whose block success probability reaches ``success_threshold``, breaking
-    ties toward smaller j2 and then smaller j1.  Raises InfeasibleError
-    when no candidate in the box qualifies.
+    always with the trailing global.  Returns the schedule of minimal query
+    count whose block success probability reaches ``success_threshold``,
+    breaking ties toward smaller j2 and then smaller j1.  Raises
+    InfeasibleError when no candidate in the box qualifies.
+
+    The candidates share their steps: one prefix state takes one global per
+    j1 row, each row extends a copy of it by one local per j2, and every
+    candidate applies its trailing global to that.  A candidate's final
+    state thus comes from the same :func:`apply_global`/:func:`apply_local`
+    calls, in the same order, as :func:`run_schedule` would make, so it is
+    bit-identical.  The ranking key (queries, j2, j1) grows with j2, so a
+    row stops at its first candidate that cannot beat the best so far.
     """
     _check_k(g.n_blocks)
     if not 0.0 < success_threshold < 1.0:
@@ -179,16 +194,21 @@ def optimal_exact_schedule(
 
     best_key = None
     best = None
+    prefix = uniform_state(g)
     for j1 in range(j1_max + 1):
+        if j1:
+            prefix = apply_global(prefix, g)
+        s = prefix
         for j2 in range(j2_max + 1):
-            candidate = Schedule(j1, j2, trailing_global=True)
-            key = (candidate.queries, j2, j1)
+            key = (j1 + j2 + 1, j2, j1)
             if best_key is not None and key >= best_key:
-                continue
-            final = run_schedule(g, candidate)
+                break
+            if j2:
+                s = apply_local(s, g)
+            final = apply_global(s, g)
             if block_success_probability(final, g) >= success_threshold:
                 best_key = key
-                best = candidate
+                best = Schedule(j1, j2, trailing_global=True)
     if best is None:
         raise InfeasibleError(
             f"no schedule with j1 <= {j1_max}, j2 <= {j2_max} reaches "

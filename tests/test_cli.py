@@ -321,6 +321,12 @@ def test_bound_json_ordering(capsys):
     assert isinstance(bounds["achieved"], int)
 
 
+def test_bound_help_says_bounds_are_asymptotic(capsys):
+    code, out, _ = run_cli(["--help"], capsys)
+    assert code == 0
+    assert "(asymptotic, for near-certain success)" in " ".join(out.split())
+
+
 def test_bound_rejects_k1(capsys):
     code, _, err = run_cli(["bound", "--n", "1024", "--k", "1"], capsys)
     assert code == 2

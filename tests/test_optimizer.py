@@ -5,6 +5,8 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pgsearch.model
+import pgsearch.optimizer
 from pgsearch import (
     BadKError,
     InfeasibleError,
@@ -307,6 +309,96 @@ def test_exact_schedule_matches_full_state_rescan():
         best.j2,
         best.trailing_global,
     )
+
+
+def _brute_force_exact_schedule(g, success_threshold):
+    """Reference for optimal_exact_schedule: every candidate of the box is
+    run from the uniform state with run_schedule.  Returns the winner and
+    its block success."""
+    j1_max = math.ceil(math.pi * math.sqrt(g.n_items) / 4.0)
+    j2_max = math.ceil(math.pi * math.sqrt(g.block_size) / 2.0)
+
+    best_key = None
+    best = None
+    for j1 in range(j1_max + 1):
+        for j2 in range(j2_max + 1):
+            candidate = Schedule(j1, j2, trailing_global=True)
+            key = (candidate.queries, j2, j1)
+            if best_key is not None and key >= best_key:
+                continue
+            final = run_schedule(g, candidate)
+            p = block_success_probability(final, g)
+            if p >= success_threshold:
+                best_key = key
+                best = (candidate, p)
+    if best is None:
+        raise InfeasibleError(
+            f"no schedule with j1 <= {j1_max}, j2 <= {j2_max} reaches "
+            f"block success {success_threshold}"
+        )
+    return best
+
+
+def _exact_cases():
+    thresholds = (0.3, 0.5, 0.9, 0.99, 0.999)
+    for n in (2**e for e in range(4, 13)):
+        for k in sorted({2, 4, 64, n}):
+            if k <= n:
+                yield n, k, thresholds
+    yield 1155, 3, thresholds
+    yield 1155, 5, thresholds
+    yield 2**14, 4, (0.99,)
+
+
+@pytest.mark.parametrize("n, k, thresholds", list(_exact_cases()))
+def test_exact_schedule_matches_brute_force(n, k, thresholds):
+    g = make_geometry(n, k)
+    for threshold in thresholds:
+        try:
+            expected, p = _brute_force_exact_schedule(g, threshold)
+        except InfeasibleError as exc:
+            with pytest.raises(InfeasibleError) as got:
+                optimal_exact_schedule(g, threshold)
+            assert str(got.value) == str(exc)
+            continue
+        sch = optimal_exact_schedule(g, threshold)
+        assert sch == expected
+        assert block_success_probability(run_schedule(g, sch), g) == p
+
+
+@pytest.mark.parametrize("n, k", [(16, 2), (16, 16), (1024, 4), (1155, 3)])
+def test_exact_schedule_infeasible_message_matches_brute_force(n, k):
+    g = make_geometry(n, k)
+    with pytest.raises(InfeasibleError) as ref:
+        _brute_force_exact_schedule(g, 1 - 1e-15)
+    with pytest.raises(InfeasibleError) as got:
+        optimal_exact_schedule(g, 1 - 1e-15)
+    assert str(got.value) == str(ref.value)
+
+
+def test_exact_schedule_shares_steps_across_candidates(monkeypatch):
+    """The scan makes at most one global per row for the shared prefix and,
+    per row, one local and one trailing global per candidate; restarting
+    every candidate from the uniform state would take about box*sqrt(N)."""
+    calls = 0
+
+    def counting(step):
+        def wrapper(s, g):
+            nonlocal calls
+            calls += 1
+            return step(s, g)
+        return wrapper
+
+    for name in ("apply_global", "apply_local"):
+        wrapper = counting(getattr(pgsearch.model, name))
+        for module in (pgsearch.model, pgsearch.optimizer):
+            monkeypatch.setattr(module, name, wrapper)
+    g = make_geometry(4096, 4)
+    j1_max = math.ceil(math.pi * math.sqrt(g.n_items) / 4.0)
+    j2_max = math.ceil(math.pi * math.sqrt(g.block_size) / 2.0)
+    assert (j1_max, j2_max) == (51, 51)
+    assert optimal_exact_schedule(g, 0.99) == Schedule(22, 14)
+    assert 0 < calls <= j1_max + (j1_max + 1) * (2 * j2_max + 1)
 
 
 @pytest.mark.parametrize("b_exp", [6, 8, 10, 12])
