@@ -1,7 +1,7 @@
 """From real-valued asymptotics to integer schedules.
 
 Two routes to an iteration plan: round the closed-form optimum, or
-brute-force the cheapest integer schedule that clears a success
+search for the cheapest integer schedule that clears a success
 threshold.  The script compares both at several sizes, then probes the
 closed-form vanishing condition against the engine's actual zeros.
 """

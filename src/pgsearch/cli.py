@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -234,7 +235,7 @@ _COMMANDS = {
         cmd_schedule, "integer iteration counts for a concrete database",
         [_N, _K,
          ("--exact", dict(action="store_true", help=(
-             "also brute-force the cheapest schedule meeting --threshold"))),
+             "also find the cheapest schedule meeting --threshold"))),
          ("--threshold", dict(type=float, default=0.99, help=(
              "block success required by --exact (default 0.99)")))],
     ),
@@ -268,14 +269,17 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and building it costs more than most requests."""
     parser = argparse.ArgumentParser(
         prog="pgsearch",
         description="Simulate and optimize blockwise (partial) Grover search.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (handler, help_text, flags) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, description=help_text)
         for flag, options in flags:
             p.add_argument(flag, **options)
         p.add_argument(

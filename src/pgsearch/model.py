@@ -212,6 +212,35 @@ def run_schedule(g: Geometry, schedule: Schedule) -> ReducedState:
     return s
 
 
+def _outside_coefficients(g: Geometry, j2: int) -> tuple[float, float]:
+    """(P, Q) with the outside amplitude of schedule (j1, j2) after its
+    trailing global equal to P*sin(phi) + Q*cos(phi), phi = (2*j1+1)*theta1.
+
+    In the orthonormal class basis, j1 globals take the uniform state to
+    (sin(phi), c1*cos(phi), c2*cos(phi)) with c1**2 = (b-1)/(N-1) and
+    c2**2 = (N-b)/(N-1); j2 locals rotate the first two coordinates by
+    omega = 2*j2*theta2; the trailing global's third row
+    (-2*so/N, 2*sb*so/N, 1 - 2/K), sb = sqrt(b-1), so = sqrt(N-b), then
+    gives the outside amplitude.  The block success is one minus its square.
+    """
+    n, b = g.n_items, g.block_size
+    sb, so = math.sqrt(b - 1), math.sqrt(n - b)
+    r0, r1, r2 = -2.0 * so / n, 2.0 * sb * so / n, 1.0 - 2.0 * b / n
+    c1, c2 = sb / math.sqrt(n - 1), so / math.sqrt(n - 1)
+    omega = 2.0 * j2 * g.theta2
+    cos_w, sin_w = math.cos(omega), math.sin(omega)
+    return (r0 * cos_w - r1 * sin_w,
+            c1 * (r0 * sin_w + r1 * cos_w) + r2 * c2)
+
+
+def _closed_form_success(g: Geometry, coeffs: tuple[float, float], j1: int) -> float:
+    """Block success of schedule (j1, j2) from its row's
+    :func:`_outside_coefficients`; O(1) at any N."""
+    phi = (2 * j1 + 1) * g.theta1
+    amp = coeffs[0] * math.sin(phi) + coeffs[1] * math.cos(phi)
+    return 1.0 - amp * amp
+
+
 def block_success_probability(s: ReducedState, g: Geometry) -> float:
     """Probability that a measurement lands anywhere in the target block."""
     b = g.block_size

@@ -17,13 +17,18 @@ subject to the vanishing constraint tying eta to alpha,
 
 The query count is then pi*sqrt(N)/4 - c_K*sqrt(b) + O(1) with speedup
 coefficient c_K = eta_K - alpha_K.  For finite sizes,
-:func:`optimal_exact_schedule` finds the integer optimum with the reduced
-engine: it scans a search box row by row from shared prefix states and
-cuts a row off once it cannot beat the best candidate so far.
+:func:`optimal_exact_schedule` finds the integer optimum in closed form.
+For each local count j2 the amplitude left outside the target block is
+R*sin(phi + delta) with phi = (2*j1+1)*theta1, so the first adequate j1 of
+a row follows from an arcsin, at O(1) cost at any N.  Candidates whose
+closed-form success lies within a rounding band of the threshold are
+decided by :func:`run_schedule`, so the winner is the one an exhaustive
+``run_schedule`` scan of the box picks.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -31,10 +36,10 @@ from .errors import BadKError, InfeasibleError
 from .model import (
     Geometry,
     Schedule,
-    apply_global,
-    apply_local,
+    _closed_form_success,
+    _outside_coefficients,
     block_success_probability,
-    uniform_state,
+    run_schedule,
 )
 
 __all__ = [
@@ -166,24 +171,86 @@ def vanishing_residual(g: Geometry, j1, j2) -> float:
     return lhs - rhs
 
 
+def _band(queries: int) -> float:
+    """Bound on |closed-form p - run_schedule p| for a candidate of
+    ``queries`` oracle queries.
+
+    In units of 2**-52, the closed form is within 8 of the exact block
+    success at any N, and ``run_schedule`` within 4 per query plus 8: it
+    drifts by about 2 per query, mostly because each reflection divides by
+    the square of a rounded sqrt(N) or sqrt(b).  The test suite checks both
+    bounds against a 50-digit evaluation; the band is their sum.
+    """
+    return (4 * queries + 16) * 2.0**-52
+
+
+def _first_feasible_j1(
+    g: Geometry, j2: int, cap: int, threshold: float
+) -> int | None:
+    """Smallest j1 <= ``cap`` whose candidate (j1, j2) reaches
+    ``threshold``, or None.
+
+    With (P, Q) = R*(cos(delta), sin(delta)) the outside amplitude is
+    R*sin(phi + delta), so the candidates that are not surely infeasible
+    (closed-form p >= threshold - band) lie in windows
+    |phi + delta - m*pi| <= arcsin(sqrt(1 - threshold + band)/R).  Each
+    window's first j1 comes from that arcsin; the j1 below it is checked
+    directly, and the walk stays in the window until a candidate decides.
+    A candidate within the band of the threshold is decided by
+    :func:`run_schedule`, which is what "reaches" means.
+    """
+    coeffs = _outside_coefficients(g, j2)
+    band = _band(cap + j2 + 1)
+    lo, hi = threshold - band, threshold + band
+    radius, amp = math.sqrt(1.0 - lo), math.hypot(*coeffs)
+    half = math.asin(radius / amp) if radius < amp else math.pi / 2
+    delta = math.atan2(coeffs[1], coeffs[0])
+    theta1 = g.theta1
+    nxt = 0  # first j1 not examined yet
+    m = math.floor((theta1 + delta - half) / math.pi)
+    while nxt <= cap:
+        start = math.ceil(((m * math.pi - half - delta) / theta1 - 1.0) / 2.0)
+        if start > cap + 1:
+            break
+        j1 = min(max(nxt, start), cap + 1)
+        while j1 > nxt and _closed_form_success(g, coeffs, j1 - 1) >= lo:
+            j1 -= 1
+        while j1 <= cap:
+            p = _closed_form_success(g, coeffs, j1)
+            if p >= hi or (p >= lo and block_success_probability(
+                    run_schedule(g, Schedule(j1, j2)), g) >= threshold):
+                return j1
+            j1 += 1
+            if p < lo and (2 * j1 - 1) * theta1 + delta > m * math.pi:
+                break  # past this window
+        nxt = j1
+        m += 1
+    return None
+
+
 def optimal_exact_schedule(
     g: Geometry, success_threshold: float = 0.99
 ) -> Schedule:
-    """Exhaustive integer search for the cheapest adequate schedule.
+    """Cheapest integer schedule whose block success reaches the threshold.
 
-    Scans j1 in [0, ceil(pi*sqrt(N)/4)] and j2 in [0, ceil(pi*sqrt(b)/2)],
+    Searches j1 in [0, ceil(pi*sqrt(N)/4)] and j2 in [0, ceil(pi*sqrt(b)/2)],
     always with the trailing global.  Returns the schedule of minimal query
-    count whose block success probability reaches ``success_threshold``,
-    breaking ties toward smaller j2 and then smaller j1.  Raises
-    InfeasibleError when no candidate in the box qualifies.
+    count whose block success probability, as :func:`run_schedule` computes
+    it, reaches ``success_threshold``, breaking ties toward smaller j2 and
+    then smaller j1.  Raises InfeasibleError when no candidate in the box
+    qualifies.
 
-    The candidates share their steps: one prefix state takes one global per
-    j1 row, each row extends a copy of it by one local per j2, and every
-    candidate applies its trailing global to that.  A candidate's final
-    state thus comes from the same :func:`apply_global`/:func:`apply_local`
-    calls, in the same order, as :func:`run_schedule` would make, so it is
-    bit-identical.  The ranking key (queries, j2, j1) grows with j2, so a
-    row stops at its first candidate that cannot beat the best so far.
+    No state is stepped: for each j2 the outside amplitude after the
+    trailing global is P*sin(phi) + Q*cos(phi) with phi = (2*j1+1)*theta1,
+    so the row's first adequate j1 comes from an arcsin (see
+    :func:`_first_feasible_j1`) at O(1) cost.  The closed form decides a
+    candidate only when its p lies outside a band of
+    (4*queries + 16)*2**-52 around the threshold, which bounds its
+    difference from :func:`run_schedule`; inside the band ``run_schedule``
+    decides, so the winner is the one an exhaustive ``run_schedule`` scan
+    would pick.  The row of the asymptotic j2 goes first.  Its winner caps
+    j1 in every other row, and the scan over j2 stops once j2 + 1 queries
+    can no longer beat it, so O(sqrt(b)) rows are searched.
     """
     _check_k(g.n_blocks)
     if not 0.0 < success_threshold < 1.0:
@@ -192,23 +259,17 @@ def optimal_exact_schedule(
     j1_max = math.ceil(math.pi * math.sqrt(g.n_items) / 4.0)
     j2_max = math.ceil(math.pi * math.sqrt(g.block_size) / 2.0)
 
-    best_key = None
     best = None
-    prefix = uniform_state(g)
-    for j1 in range(j1_max + 1):
-        if j1:
-            prefix = apply_global(prefix, g)
-        s = prefix
-        for j2 in range(j2_max + 1):
-            key = (j1 + j2 + 1, j2, j1)
-            if best_key is not None and key >= best_key:
-                break
-            if j2:
-                s = apply_local(s, g)
-            final = apply_global(s, g)
-            if block_success_probability(final, g) >= success_threshold:
-                best_key = key
-                best = Schedule(j1, j2, trailing_global=True)
+    for j2 in itertools.chain((asymptotic_schedule(g).j2,), range(j2_max + 1)):
+        if best is None:
+            cap = j1_max
+        elif (j2 + 1, j2) >= (best.queries, best.j2):
+            break
+        else:  # largest j1 whose key (queries, j2, j1) beats the best's
+            cap = min(j1_max, best.queries - j2 - 1 - (j2 >= best.j2))
+        j1 = _first_feasible_j1(g, j2, cap, success_threshold)
+        if j1 is not None:
+            best = Schedule(j1, j2, trailing_global=True)
     if best is None:
         raise InfeasibleError(
             f"no schedule with j1 <= {j1_max}, j2 <= {j2_max} reaches "

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from pgsearch import asymptotic_optimum, load_state
-from pgsearch.cli import main, parse_k_spec
+from pgsearch.cli import _build_parser, main, parse_k_spec
 
 
 def run_cli(argv, capsys):
@@ -327,6 +327,12 @@ def test_bound_help_says_bounds_are_asymptotic(capsys):
     assert "(asymptotic, for near-certain success)" in " ".join(out.split())
 
 
+def test_subcommand_help_has_description(capsys):
+    code, out, _ = run_cli(["bound", "--help"], capsys)
+    assert code == 0
+    assert "(asymptotic, for near-certain success)" in " ".join(out.split())
+
+
 def test_bound_rejects_k1(capsys):
     code, _, err = run_cli(["bound", "--n", "1024", "--k", "1"], capsys)
     assert code == 2
@@ -364,6 +370,21 @@ def test_reports_are_deterministic(capsys, monkeypatch):
     monkeypatch.setenv("PGS_THREADS", "4")
     second = run_cli(["compare", "--k", "2..30", "--format", "csv"], capsys)
     assert first == second
+
+
+def test_parser_is_reused_after_refused_requests(capsys):
+    assert _build_parser() is _build_parser()
+    for argv in (["schedule", "--n", "abc", "--k", "4"],
+                 ["bound", "--n", "1024", "--k", "1"],
+                 ["simulate", "--n", "16", "--emit-state", "x.pgsv"]):
+        code, _, _ = run_cli(argv, capsys)
+        assert code == 2
+    for case_id in sorted(GOLDEN_CASES):
+        case = GOLDEN_CASES[case_id]
+        code, out, _ = run_cli(case["argv"], capsys)
+        assert code == case["code"]
+        expected = (GOLDEN_DIR / case_id).read_bytes() if code == 0 else b""
+        assert out.encode() == expected
 
 
 def test_module_entry_point_runs():

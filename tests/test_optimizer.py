@@ -1,7 +1,9 @@
 """Closed-form optimum and exact schedule search."""
 
 import math
+import random
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -376,29 +378,185 @@ def test_exact_schedule_infeasible_message_matches_brute_force(n, k):
     assert str(got.value) == str(ref.value)
 
 
-def test_exact_schedule_shares_steps_across_candidates(monkeypatch):
-    """The scan makes at most one global per row for the shared prefix and,
-    per row, one local and one trailing global per candidate; restarting
-    every candidate from the uniform state would take about box*sqrt(N)."""
-    calls = 0
+def _count_calls(monkeypatch, module, names):
+    """Wrap ``module``'s bindings of ``names``; returns the call counters."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        fn = getattr(module, name)
 
-    def counting(step):
-        def wrapper(s, g):
-            nonlocal calls
-            calls += 1
-            return step(s, g)
-        return wrapper
+        def counting(*args, _fn=fn, _name=name):
+            counts[_name] += 1
+            return _fn(*args)
 
-    for name in ("apply_global", "apply_local"):
-        wrapper = counting(getattr(pgsearch.model, name))
-        for module in (pgsearch.model, pgsearch.optimizer):
-            monkeypatch.setattr(module, name, wrapper)
+        monkeypatch.setattr(module, name, counting)
+    return counts
+
+
+def test_exact_schedule_evaluation_count_is_bounded(monkeypatch):
+    """Each j2 row costs one (P, Q) and a handful of closed-form candidates;
+    scanning the box, or stepping states through it, would take thousands."""
+    counts = _count_calls(monkeypatch, pgsearch.optimizer, (
+        "_outside_coefficients", "_closed_form_success", "run_schedule"))
     g = make_geometry(4096, 4)
     j1_max = math.ceil(math.pi * math.sqrt(g.n_items) / 4.0)
     j2_max = math.ceil(math.pi * math.sqrt(g.block_size) / 2.0)
     assert (j1_max, j2_max) == (51, 51)
     assert optimal_exact_schedule(g, 0.99) == Schedule(22, 14)
-    assert 0 < calls <= j1_max + (j1_max + 1) * (2 * j2_max + 1)
+    rows = counts["_outside_coefficients"]
+    assert 0 < rows <= j2_max + 2
+    assert counts["_closed_form_success"] + counts["run_schedule"] <= 3 * rows
+    assert counts["run_schedule"] == 0
+
+
+@pytest.mark.parametrize("n, k", [(1024, 4), (4096, 4), (1155, 3), (256, 256),
+                                  (4096, 2)])
+@pytest.mark.parametrize("base", [0.5, 0.9, 0.99])
+def test_exact_schedule_at_adversarial_thresholds(n, k, base, monkeypatch):
+    """Thresholds set to a winner's own run_schedule block success and its
+    float neighbours, so that the closed form cannot decide that winner."""
+    g = make_geometry(n, k)
+    winner, p = _brute_force_exact_schedule(g, base)
+    counts = _count_calls(monkeypatch, pgsearch.optimizer, ("run_schedule",))
+    for threshold in (math.nextafter(p, 0.0), p, math.nextafter(p, 1.0)):
+        if not threshold < 1.0:
+            continue
+        try:
+            expected, _ = _brute_force_exact_schedule(g, threshold)
+        except InfeasibleError:
+            with pytest.raises(InfeasibleError):
+                optimal_exact_schedule(g, threshold)
+        else:
+            assert optimal_exact_schedule(g, threshold) == expected
+            assert (threshold > p) == (expected != winner)
+    assert counts["run_schedule"] >= 1  # the band path decided
+
+
+@pytest.mark.parametrize("n, k", [(64, 4), (1024, 4), (1155, 5), (4096, 2),
+                                  (4096, 4096)])
+@pytest.mark.parametrize("threshold", [0.3, 0.9, 0.999])
+def test_rows_skip_only_surely_infeasible_candidates(n, k, threshold, monkeypatch):
+    """Per j2 row, the first adequate j1 equals a run_schedule scan of the
+    row, and every j1 below it that the closed form did not evaluate has
+    closed-form p below threshold - band."""
+    g = make_geometry(n, k)
+    j1_max = math.ceil(math.pi * math.sqrt(n) / 4.0)
+    j2_max = math.ceil(math.pi * math.sqrt(g.block_size) / 2.0)
+    evaluated = set()
+    closed_form = pgsearch.optimizer._closed_form_success
+
+    def recording(g_, coeffs, j1):
+        evaluated.add(j1)
+        return closed_form(g_, coeffs, j1)
+
+    monkeypatch.setattr(pgsearch.optimizer, "_closed_form_success", recording)
+    for j2 in range(j2_max + 1):
+        evaluated.clear()
+        got = pgsearch.optimizer._first_feasible_j1(g, j2, j1_max, threshold)
+        feasible = [
+            j1 for j1 in range(j1_max + 1)
+            if block_success_probability(run_schedule(g, Schedule(j1, j2)), g)
+            >= threshold
+        ]
+        assert got == (feasible[0] if feasible else None)
+        coeffs = pgsearch.model._outside_coefficients(g, j2)
+        low = threshold - pgsearch.optimizer._band(j1_max + j2 + 1)
+        skipped = set(range(j1_max + 1 if got is None else got)) - evaluated
+        assert all(closed_form(g, coeffs, j1) < low for j1 in skipped)
+
+
+def _mp_block_success(n, k, j1, j2, iterate):
+    """Block success of schedule (j1, j2) at 50 digits, in the orthonormal
+    class basis: by applying every reflection (``iterate``), or by the
+    rotation angles."""
+    with mpmath.workdps(50):
+        n_, b = mpmath.mpf(n), mpmath.mpf(n // k)
+        u = [1 / mpmath.sqrt(n_), mpmath.sqrt((b - 1) / n_),
+             mpmath.sqrt((n_ - b) / n_)]
+        u_local = [1 / mpmath.sqrt(b), mpmath.sqrt((b - 1) / b)]
+
+        def reflect(v, w):  # oracle flip, then 2|w><w| - 1 on w's coordinates
+            v = [-v[0], *v[1:]]
+            dot = sum(a * c for a, c in zip(v, w))
+            return [2 * dot * c - a for a, c in zip(v, w)] + v[len(w):]
+
+        if iterate:
+            v = list(u)
+            for _ in range(j1):
+                v = reflect(v, u)
+            for _ in range(j2):
+                v = reflect(v, u_local)
+        else:
+            phi = (2 * j1 + 1) * mpmath.asin(1 / mpmath.sqrt(n_))
+            omega = 2 * j2 * mpmath.asin(1 / mpmath.sqrt(b))
+            w = mpmath.sqrt(n_ - 1)
+            x0 = mpmath.sin(phi)
+            x1 = mpmath.cos(phi) * mpmath.sqrt(b - 1) / w
+            v = [mpmath.cos(omega) * x0 + mpmath.sin(omega) * x1,
+                 mpmath.cos(omega) * x1 - mpmath.sin(omega) * x0,
+                 mpmath.cos(phi) * mpmath.sqrt(n_ - b) / w]
+        v = reflect(v, u)
+        return 1 - v[2] ** 2
+
+
+def _random_schedules(seed, exponents, count):
+    rng = random.Random(seed)
+    for e in exponents:
+        for _ in range(count):
+            n = 2**e if rng.random() < 0.8 else 3 * 2 ** (e - 2)
+            k = rng.choice([d for d in (2, 3, 4, 16, 256, n) if n % d == 0])
+            j1 = rng.randint(0, math.ceil(math.pi * math.sqrt(n) / 4.0))
+            j2 = rng.randint(0, math.ceil(math.pi * math.sqrt(n // k) / 2.0))
+            yield n, k, j1, j2
+
+
+def test_closed_form_matches_50_digit_iteration():
+    """The rotation picture is the reflections' own dynamics, and both
+    float evaluations stay within the bounds that make up the band."""
+    for n, k, j1, j2 in _random_schedules(1, range(2, 13), 12):
+        g = make_geometry(n, k)
+        exact = _mp_block_success(n, k, j1, j2, iterate=True)
+        assert abs(_mp_block_success(n, k, j1, j2, iterate=False) - exact) < 1e-40
+        closed = pgsearch.model._closed_form_success(
+            g, pgsearch.model._outside_coefficients(g, j2), j1)
+        assert abs(closed - exact) <= 8 * 2.0**-52
+        q = j1 + j2 + 1
+        iterated = block_success_probability(run_schedule(g, Schedule(j1, j2)), g)
+        assert abs(iterated - exact) <= (4 * q + 8) * 2.0**-52
+        assert pgsearch.optimizer._band(q) >= (4 * q + 16) * 2.0**-52
+
+
+@pytest.mark.parametrize("n, k", [(66022, 2), (66022, 66022), (1050776, 8),
+                                  (1052540, 2), (2**21, 4)])
+def test_run_schedule_drift_stays_within_band(n, k):
+    """Long schedules at sizes whose sqrt(N) rounds by almost half an ulp,
+    where the iterated drift is largest."""
+    g = make_geometry(n, k)
+    j1_max = math.ceil(math.pi * math.sqrt(n) / 4.0)
+    j2_max = math.ceil(math.pi * math.sqrt(g.block_size) / 2.0)
+    for j1, j2 in ((j1_max, 0), (0, j2_max), (j1_max, j2_max)):
+        q = j1 + j2 + 1
+        exact = _mp_block_success(n, k, j1, j2, iterate=False)
+        iterated = block_success_probability(run_schedule(g, Schedule(j1, j2)), g)
+        assert abs(iterated - exact) <= (4 * q + 8) * 2.0**-52
+
+
+def test_closed_form_accuracy_up_to_2_53():
+    for n, k, j1, j2 in _random_schedules(2, range(14, 54, 3), 6):
+        g = make_geometry(n, k)
+        exact = _mp_block_success(n, k, j1, j2, iterate=False)
+        closed = pgsearch.model._closed_form_success(
+            g, pgsearch.model._outside_coefficients(g, j2), j1)
+        assert abs(closed - exact) <= 8 * 2.0**-52, (n, k, j1, j2)
+
+
+def test_exact_schedule_is_fast_at_large_n():
+    """N = 2**30 takes about 0.1 s; stepping states through the box would
+    take hours.  The winner reaches 0.99 and one global fewer does not."""
+    g = make_geometry(2**30, 4)
+    assert optimal_exact_schedule(g, 0.99) == Schedule(8495, 10031)
+    for j1, reaches in ((8495, True), (8494, False)):
+        p = block_success_probability(run_schedule(g, Schedule(j1, 10031)), g)
+        assert (p >= 0.99) == reaches
 
 
 @pytest.mark.parametrize("b_exp", [6, 8, 10, 12])

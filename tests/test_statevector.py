@@ -2,6 +2,7 @@
 reduced engine and the on-disk snapshot format."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -149,6 +150,26 @@ def test_block_distribution_sums_to_one_after_run():
     st = sv_run_schedule(make_geometry(256, 8), 77, Schedule(6, 2, True))
     dist = measure_block_distribution(st)
     assert dist.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n, k", [(2, 2), (1024, 2), (1155, 5), (1155, 1155),
+                                  (2**17, 8), (2**20, 1024), (2**20, 2**20)])
+def test_block_distribution_bit_equals_whole_array_square(n, k):
+    st = sv_run_schedule(make_geometry(n, k), n // 3, Schedule(3, 5, True))
+    blocks = st.amplitudes.reshape(k, n // k)
+    expected = (blocks * blocks).sum(axis=1)
+    assert measure_block_distribution(st).tobytes() == expected.tobytes()
+
+
+def test_block_distribution_squares_in_small_chunks():
+    st = sv_run_schedule(make_geometry(2**22, 128), 12345, Schedule(1, 1, True))
+    tracemalloc.start()
+    try:
+        measure_block_distribution(st)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20  # the whole-array square took 32 MiB
 
 
 def test_optimal_schedule_concentrates_target_block():
