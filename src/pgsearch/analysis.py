@@ -5,16 +5,21 @@ that picks a random block and Grover-searches the rest costs
 R_K = (pi/4)*sqrt((K-1)/K)*sqrt(N) queries, while the optimized blockwise
 schedule costs S_K = (pi/4 + (alpha_K - eta_K)/sqrt(K))*sqrt(N).  Partial
 search beats the random pick for every K >= 3 and ties it at K = 2.
+
+:func:`comparison_table` returns its rows as :class:`ComparisonRow`, a
+``typing.NamedTuple``: fields read by name, and a row equals the plain
+tuple of its values.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import BadKError, BadVariantError
 from .model import Geometry, Schedule, run_schedule
-from .optimizer import asymptotic_optimum
+from .optimizer import _stationary_point, asymptotic_optimum
 
 __all__ = [
     "ComparisonRow",
@@ -43,8 +48,7 @@ MISPRINT_NOTE_K4 = (
 MAX_TABLE_K = 10**6
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
+class ComparisonRow(NamedTuple):
     """One line of the cost comparison for a given block count."""
 
     n_blocks: int
@@ -185,21 +189,25 @@ def comparison_table(k_min: int, k_max: int) -> list[ComparisonRow]:
     Coefficients are per sqrt(N) and independent of the database size.
     The K = 4 row carries the misprint note (see MISPRINT_NOTE_K4).
     """
+    _check_table_range(k_min, k_max)
+    # Each value is computed exactly as partial_search_coefficient,
+    # random_pick_coefficient, interrupted_probability and
+    # asymptotic_optimum compute it, so the rows are bit-equal to them.
+    quarter_pi = math.pi / 4.0
+    rows = []
+    for k in range(k_min, k_max + 1):
+        alpha, eta = _stationary_point(float(k))
+        rows.append(ComparisonRow(k, quarter_pi + (alpha - eta) / math.sqrt(k),
+                                  quarter_pi * math.sqrt((k - 1.0) / k),
+                                  (k - 2) ** 2 / (k * (k - 1)), eta - alpha))
+    if k_min <= 4 <= k_max:
+        rows[4 - k_min] = rows[4 - k_min]._replace(note=MISPRINT_NOTE_K4)
+    return rows
+
+
+def _check_table_range(k_min: int, k_max: int) -> None:
+    """Refuse a block range the comparison table does not cover."""
     if not 2 <= k_min <= k_max <= MAX_TABLE_K:
         raise BadKError(
             f"block range [{k_min}, {k_max}] outside the supported [2, 10**6]"
         )
-    return [_comparison_row(k) for k in range(k_min, k_max + 1)]
-
-
-def _comparison_row(k: int) -> ComparisonRow:
-    """One comparison row, built from a single asymptotic_optimum(k)."""
-    opt = asymptotic_optimum(k)
-    return ComparisonRow(
-        n_blocks=k,
-        s_coeff=math.pi / 4.0 + (opt.alpha - opt.eta) / math.sqrt(float(k)),
-        r_coeff=random_pick_coefficient(k),
-        p_interrupted=interrupted_probability(k),
-        c=opt.c,
-        note=MISPRINT_NOTE_K4 if k == 4 else "",
-    )

@@ -29,6 +29,7 @@ import sys
 
 from .analysis import (
     MAX_TABLE_K,
+    _check_table_range,
     comparison_table,
     lower_bound_queries,
     partial_search_coefficient,
@@ -72,11 +73,16 @@ def parse_k_spec(spec: str) -> list[float]:
                 raise argparse.ArgumentTypeError(
                     f"block-count spec {spec!r} has more than {MAX_TABLE_K} values"
                 )
-            values.extend(float(k) for k in range(lo, hi + 1))
+            try:
+                values.extend(float(k) for k in range(lo, hi + 1))
+            except OverflowError as exc:  # beyond the float range
+                raise argparse.ArgumentTypeError(
+                    f"bad block-count range {token!r}"
+                ) from exc
             continue
         try:
             values.append(float(int(token)))
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise argparse.ArgumentTypeError(f"bad block count {token!r}") from exc
     if not values:
         raise argparse.ArgumentTypeError(f"empty block-count spec {spec!r}")
@@ -109,23 +115,34 @@ def _cell(value, exact: bool) -> str:
     return str(value)
 
 
-def _render(fmt: str, rows: list[dict], doc, header=None, transpose=False) -> str:
+#: Encodes a list of flat dicts in one pass of the C encoder, with every
+#: member on a line of its own; _render re-indents the list level.
+_RECORDS_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n    ", ": "))
+
+
+def _render(fmt: str, header: list[str], rows, doc, transpose=False) -> str:
     """Render a report: ``doc`` as JSON, or ``rows`` as a CSV or text table.
 
-    ``header`` overrides the column names (default: the row keys).  With
-    ``transpose`` the text form prints one ``name  value`` line per column,
-    for single-row reports.
+    ``rows`` hold the values of each table row in ``header`` order.  A list
+    ``doc`` holds one flat dict per row.  With ``transpose`` the text form
+    prints one ``name  value`` line per column, for single-row reports.
     """
     if fmt == "json":
+        if isinstance(doc, list):
+            # The bytes json.dumps(doc, indent=2, sort_keys=True) gives: an
+            # encoded string holds no raw newline, so "},\n    {" occurs only
+            # between two rows.
+            body = _RECORDS_ENCODER.encode(doc)[2:-2]
+            body = body.replace("},\n    {", "\n  },\n  {\n    ")
+            return "[\n  {\n    " + body + "\n  }\n]\n"
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    header = header or list(rows[0])
     if fmt == "csv":
         sink = io.StringIO()
         writer = csv.writer(sink, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows([_cell(v, True) for v in row.values()] for row in rows)
+        writer.writerows([_cell(v, True) for v in row] for row in rows)
         return sink.getvalue()
-    cells = [[_cell(v, False) for v in row.values()] for row in rows]
+    cells = [[_cell(v, False) for v in row] for row in rows]
     lines = list(zip(header, *cells)) if transpose else [header, *cells]
     widths = [max(len(cell) for cell in column) for column in zip(*lines)]
     return "".join(
@@ -141,7 +158,8 @@ def cmd_optimize(args) -> str:
         k_cell = "inf" if math.isinf(k) else int(k)
         rows.append({"k": k_cell, "alpha": opt.alpha, "eta": opt.eta, "c": opt.c})
     doc = rows[0] if len(rows) == 1 else rows
-    return _render(args.format, rows, doc, header=["K", "alpha", "eta", "c"])
+    return _render(args.format, ["K", "alpha", "eta", "c"],
+                   [row.values() for row in rows], doc)
 
 
 def _schedule_row(mode: str, g, schedule: Schedule) -> dict:
@@ -165,7 +183,7 @@ def cmd_schedule(args) -> str:
             _schedule_row("exact", g, optimal_exact_schedule(g, args.threshold))
         )
         doc["threshold"] = args.threshold
-    return _render(args.format, rows, doc)
+    return _render(args.format, list(rows[0]), [row.values() for row in rows], doc)
 
 
 def cmd_simulate(args) -> str:
@@ -187,19 +205,40 @@ def cmd_simulate(args) -> str:
                amp_ntt=reduced.amp_ntt, amp_nb=reduced.amp_nb,
                block_success=block_success_probability(reduced, g),
                item_success=item_success_probability(reduced))
-    return _render(args.format, [row], row, transpose=True)
+    return _render(args.format, list(row), [row.values()], row, transpose=True)
+
+
+def _contiguous_runs(ks: list[float]) -> list[tuple[int, int]]:
+    """Split block counts into runs of consecutive values, in spec order.
+
+    The first count, in spec order, that the comparison table does not
+    cover raises the error that tabulating it alone would.
+    """
+    if not (2 <= min(ks) and max(ks) <= MAX_TABLE_K):
+        k = next(k for k in ks if not 2 <= k <= MAX_TABLE_K)
+        if math.isinf(k):
+            raise BadKError("compare requires finite block counts")
+        _check_table_range(int(k), int(k))  # raises
+    runs, last = [], None
+    for k in ks:
+        if k - 1 == last:
+            runs[-1][1] = k
+        else:
+            runs.append([k, k])
+        last = k
+    return [(int(lo), int(hi)) for lo, hi in runs]
 
 
 def cmd_compare(args) -> str:
-    rows = []
-    for k in args.k:
-        if math.isinf(k):
-            raise BadKError("compare requires finite block counts")
-        r = comparison_table(int(k), int(k))[0]
-        rows.append({"k": r.n_blocks, "s_coeff": r.s_coeff, "r_coeff": r.r_coeff,
-                     "p_interrupted": r.p_interrupted, "c": r.c, "note": r.note})
+    runs = _contiguous_runs(args.k)  # refuses a bad spec before any row is built
+    # Rows are built as the report consumes them, so each run's table is
+    # freed before the text is assembled.
+    rows = (row for lo, hi in runs for row in comparison_table(lo, hi))
+    doc = [{"k": k, "s_coeff": s, "r_coeff": r, "p_interrupted": p, "c": c,
+            "note": note} for k, s, r, p, c, note in rows
+           ] if args.format == "json" else None
     header = ["K", "s_coeff", "r_coeff", "p_interrupted", "c", "note"]
-    return _render(args.format, rows, rows, header=header)
+    return _render(args.format, header, rows, doc)
 
 
 def cmd_bound(args) -> str:
@@ -211,8 +250,8 @@ def cmd_bound(args) -> str:
         "achieved": asymptotic_schedule(g).queries,
         "achieved_asymptotic": partial_search_coefficient(args.k) * math.sqrt(args.n),
     }
-    rows = [{"variant": name, "queries": q} for name, q in bounds.items()]
-    return _render(args.format, rows, {"n": args.n, "k": args.k, "bounds": bounds})
+    return _render(args.format, ["variant", "queries"], bounds.items(),
+                   {"n": args.n, "k": args.k, "bounds": bounds})
 
 
 _N = ("--n", dict(type=_int_at_least(1), required=True, help="database size"))

@@ -91,9 +91,14 @@ def asymptotic_optimum(n_blocks) -> OptimalParameters:
         alpha = math.pi / 6
         eta = math.sqrt(3) / 2
     else:
-        alpha = 0.5 * math.acos((k - 2) / (2.0 * (k - 1)))
-        eta = 0.5 * math.sqrt(k) * math.atan2(math.sqrt(3 * k - 4), k - 2)
+        alpha, eta = _stationary_point(k)
     return OptimalParameters(alpha, eta, eta - alpha, k)
+
+
+def _stationary_point(k: float) -> tuple[float, float]:
+    """(alpha_K, eta_K) for a finite, already checked block count ``k``."""
+    return (0.5 * math.acos((k - 2) / (2.0 * (k - 1))),
+            0.5 * math.sqrt(k) * math.atan2(math.sqrt(3 * k - 4), k - 2))
 
 
 def eta_from_alpha(n_blocks, alpha: float) -> float:

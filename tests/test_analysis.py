@@ -26,7 +26,7 @@ from pgsearch import (
     partial_search_coefficient,
     random_pick_coefficient,
 )
-from pgsearch.analysis import MISPRINT_NOTE_K4
+from pgsearch.analysis import MAX_TABLE_K, MISPRINT_NOTE_K4
 import pgsearch.model as model
 
 R_COEFF = {
@@ -338,9 +338,25 @@ def test_comparison_table_far_row():
     (row,) = comparison_table(30, 30)
     assert row.p_interrupted == pytest.approx(0.9011494252873563, rel=1e-12)
     assert isinstance(row, ComparisonRow)
+    # a NamedTuple: equal to the plain tuple of its values
+    assert row == (30, row.s_coeff, row.r_coeff, row.p_interrupted, row.c, "")
 
 
-@pytest.mark.parametrize("k_min, k_max", [(1, 5), (5, 3), (2, 10**6 + 1), (0, 0)])
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 1000, 2**19 - 1, MAX_TABLE_K])
+def test_comparison_table_rows_equal_scalar_functions(k):
+    # 2**20 - 1 lies above MAX_TABLE_K; the range check below refuses it
+    rows = comparison_table(max(2, k - 1), min(MAX_TABLE_K, k + 1))
+    (row,) = [r for r in rows if r.n_blocks == k]
+    assert row == comparison_table(k, k)[0]
+    assert row.s_coeff == partial_search_coefficient(k)
+    assert row.r_coeff == random_pick_coefficient(k)
+    assert row.p_interrupted == interrupted_probability(k)
+    assert row.c == asymptotic_optimum(k).c
+    assert row.note == (MISPRINT_NOTE_K4 if k == 4 else "")
+
+
+@pytest.mark.parametrize("k_min, k_max", [(1, 5), (5, 3), (2, 10**6 + 1), (0, 0),
+                                          (2**20 - 1, 2**20 - 1)])
 def test_comparison_table_range_validation(k_min, k_max):
     with pytest.raises(BadKError):
         comparison_table(k_min, k_max)

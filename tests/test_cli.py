@@ -1,15 +1,22 @@
 """End-to-end checks of the pgsearch command line."""
 
 import argparse
+import csv
+import io
 import json
 import math
+import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pgsearch import asymptotic_optimum, load_state
+import pgsearch.cli as cli
+from pgsearch import asymptotic_optimum, comparison_table, load_state
+from pgsearch.analysis import MAX_TABLE_K
 from pgsearch.cli import _build_parser, main, parse_k_spec
 
 
@@ -65,6 +72,30 @@ def test_oversized_k_spec_is_refused_before_expansion(capsys):
     assert "more than 1000000 values" in capsys.readouterr().err
     with pytest.raises(argparse.ArgumentTypeError):
         parse_k_spec("1..10,1..1000000")  # the count spans all ranges
+
+
+_K_TOKENS = st.one_of(
+    st.integers().map(str),
+    st.integers(10**300, 10**310).map(str),  # some beyond the float range
+    st.just("inf"),
+    st.builds("{}..{}".format, st.integers(-5, 2 * 10**6), st.integers(-5, 2 * 10**6)),
+    st.builds(lambda lo, width: f"{lo}..{lo + width}",
+              st.one_of(st.integers(-5, 2 * 10**6), st.integers(10**300, 10**310)),
+              st.integers(-2, 2000)),
+    st.text(max_size=8),
+    st.text(alphabet="0123456789.,inf +-_", max_size=12),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), st.lists(_K_TOKENS, max_size=4).map(",".join)))
+def test_parse_k_spec_returns_floats_or_refuses(spec):
+    try:
+        values = parse_k_spec(spec)
+    except argparse.ArgumentTypeError:
+        return
+    assert 0 < len(values) <= MAX_TABLE_K
+    assert all(type(v) is float for v in values)
 
 
 # ---------------------------------------------------------------- optimize
@@ -295,6 +326,69 @@ def test_compare_rejects_inf(capsys):
     code, _, err = run_cli(["compare", "--k", "inf"], capsys)
     assert code == 2
     assert "finite" in err
+
+
+_OUTSIDE = "error: block range [{0}, {0}] outside the supported [2, 10**6]"
+
+
+@pytest.mark.parametrize("spec, last_line", [
+    ("2..1000001", _OUTSIDE.format(1000001)),
+    ("1000001,inf", _OUTSIDE.format(1000001)),
+    ("inf,1000001", "error: compare requires finite block counts"),
+    ("5,1,9", _OUTSIDE.format(1)),
+])
+def test_compare_refuses_bad_specs_before_building_rows(spec, last_line, capsys,
+                                                        monkeypatch):
+    # the first bad K in spec order is reported as if tabulated alone
+    built = []
+    table = cli.comparison_table
+    monkeypatch.setattr(cli, "comparison_table",
+                        lambda lo, hi: built.append((lo, hi)) or table(lo, hi))
+    start = time.perf_counter()
+    code, out, err = run_cli(["compare", "--k", spec], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err.splitlines()[-1]) == (2, "", last_line)
+    assert built == []
+
+
+def _reference_compare(spec: str, fmt: str) -> str:
+    """The compare report built one K at a time: a single-row table and a
+    dict per K, then json.dumps, csv.writer or the text width layout."""
+    rows = []
+    for k in parse_k_spec(spec):
+        r = comparison_table(int(k), int(k))[0]
+        rows.append({"k": r.n_blocks, "s_coeff": r.s_coeff, "r_coeff": r.r_coeff,
+                     "p_interrupted": r.p_interrupted, "c": r.c, "note": r.note})
+    if fmt == "json":
+        return json.dumps(rows, indent=2, sort_keys=True) + "\n"
+    header = ["K", "s_coeff", "r_coeff", "p_interrupted", "c", "note"]
+    float_cell = repr if fmt == "csv" else (lambda v: format(v, ".6g"))
+    cells = [[float_cell(v) if isinstance(v, float) else str(v)
+              for v in row.values()] for row in rows]
+    if fmt == "csv":
+        sink = io.StringIO()
+        csv.writer(sink, lineterminator="\n").writerows([header, *cells])
+        return sink.getvalue()
+    lines = [header, *cells]
+    widths = [max(len(cell) for cell in column) for column in zip(*lines)]
+    return "".join("  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip()
+                   + "\n" for line in lines)
+
+
+_RANDOM_LO = random.Random(2005).randint(2, MAX_TABLE_K - 1999)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("spec", [
+    "2..5000",  # holds the K = 4 note
+    "999000..1000000",
+    "100..200,150..160,7,7,3",
+    f"{_RANDOM_LO}..{_RANDOM_LO + 1999}",
+])
+def test_compare_matches_per_k_reference(spec, fmt, capsys):
+    code, out, err = run_cli(["compare", "--k", spec, "--format", fmt], capsys)
+    assert (code, err) == (0, "")
+    assert out == _reference_compare(spec, fmt)
 
 
 # ------------------------------------------------------------------- bound
