@@ -43,47 +43,41 @@ from .model import (
     run_schedule,
 )
 from .optimizer import asymptotic_optimum, asymptotic_schedule, optimal_exact_schedule
-from .statevector import save_state, sv_reduce, sv_run_schedule
 
 __all__ = ["main", "parse_k_spec"]
 
 
-def parse_k_spec(spec: str) -> list[float]:
-    """Parse block-count specs like ``"4"``, ``"2..5"``, or ``"2..5,inf"``;
-    at most MAX_TABLE_K values, counted before any range is expanded."""
-    values: list[float] = []
+def parse_k_spec(spec: str) -> list[int | float]:
+    """Parse block-count specs like ``"4"``, ``"2..5"``, or ``"2..5,inf"``
+    into exact ints, with ``math.inf`` for ``inf``; at most MAX_TABLE_K
+    values, counted before any range is expanded.  Counts beyond the float
+    range are refused."""
+    values: list[int | float] = []
     for token in spec.split(","):
         token = token.strip()
         if token == "inf":
             values.append(math.inf)
             continue
-        if ".." in token:
-            lo_text, _, hi_text = token.partition("..")
-            try:
-                lo, hi = int(lo_text), int(hi_text)
-            except ValueError as exc:
-                raise argparse.ArgumentTypeError(
-                    f"bad block-count range {token!r}"
-                ) from exc
-            if hi < lo:
-                raise argparse.ArgumentTypeError(
-                    f"descending block-count range {token!r}"
-                )
-            if len(values) + hi - lo + 1 > MAX_TABLE_K:
-                raise argparse.ArgumentTypeError(
-                    f"block-count spec {spec!r} has more than {MAX_TABLE_K} values"
-                )
-            try:
-                values.extend(float(k) for k in range(lo, hi + 1))
-            except OverflowError as exc:  # beyond the float range
-                raise argparse.ArgumentTypeError(
-                    f"bad block-count range {token!r}"
-                ) from exc
-            continue
+        lo_text, dots, hi_text = token.partition("..")
+        kind = "block-count range" if dots else "block count"
         try:
-            values.append(float(int(token)))
-        except (ValueError, OverflowError) as exc:
-            raise argparse.ArgumentTypeError(f"bad block count {token!r}") from exc
+            lo = int(lo_text)
+            hi = int(hi_text) if dots else lo
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"bad {kind} {token!r}") from exc
+        if hi < lo:
+            raise argparse.ArgumentTypeError(
+                f"descending block-count range {token!r}"
+            )
+        if len(values) + hi - lo + 1 > MAX_TABLE_K:
+            raise argparse.ArgumentTypeError(
+                f"block-count spec {spec!r} has more than {MAX_TABLE_K} values"
+            )
+        try:
+            float(lo), float(hi)
+        except OverflowError as exc:  # beyond the float range
+            raise argparse.ArgumentTypeError(f"bad {kind} {token!r}") from exc
+        values.extend(range(lo, hi + 1))
     if not values:
         raise argparse.ArgumentTypeError(f"empty block-count spec {spec!r}")
     return values
@@ -155,8 +149,8 @@ def cmd_optimize(args) -> str:
     rows = []
     for k in args.k:
         opt = asymptotic_optimum(k)
-        k_cell = "inf" if math.isinf(k) else int(k)
-        rows.append({"k": k_cell, "alpha": opt.alpha, "eta": opt.eta, "c": opt.c})
+        rows.append({"k": "inf" if math.isinf(k) else k, "alpha": opt.alpha,
+                     "eta": opt.eta, "c": opt.c})
     doc = rows[0] if len(rows) == 1 else rows
     return _render(args.format, ["K", "alpha", "eta", "c"],
                    [row.values() for row in rows], doc)
@@ -191,6 +185,9 @@ def cmd_simulate(args) -> str:
     schedule = Schedule(args.j1, args.j2, trailing_global=args.trailing)
     row = {"n": args.n, "k": args.k, "engine": args.engine}
     if args.engine == "full":
+        # imported here, so the reduced commands stay pure Python
+        from .statevector import save_state, sv_reduce, sv_run_schedule
+
         full = sv_run_schedule(g, args.target, schedule, cap=args.state_cap)
         reduced, coherence = sv_reduce(full)
         if args.emit_state:
@@ -208,7 +205,7 @@ def cmd_simulate(args) -> str:
     return _render(args.format, list(row), [row.values()], row, transpose=True)
 
 
-def _contiguous_runs(ks: list[float]) -> list[tuple[int, int]]:
+def _contiguous_runs(ks: list[int | float]) -> list[list[int]]:
     """Split block counts into runs of consecutive values, in spec order.
 
     The first count, in spec order, that the comparison table does not
@@ -218,7 +215,7 @@ def _contiguous_runs(ks: list[float]) -> list[tuple[int, int]]:
         k = next(k for k in ks if not 2 <= k <= MAX_TABLE_K)
         if math.isinf(k):
             raise BadKError("compare requires finite block counts")
-        _check_table_range(int(k), int(k))  # raises
+        _check_table_range(k, k)  # raises
     runs, last = [], None
     for k in ks:
         if k - 1 == last:
@@ -226,7 +223,7 @@ def _contiguous_runs(ks: list[float]) -> list[tuple[int, int]]:
         else:
             runs.append([k, k])
         last = k
-    return [(int(lo), int(hi)) for lo, hi in runs]
+    return runs
 
 
 def cmd_compare(args) -> str:

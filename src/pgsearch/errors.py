@@ -8,7 +8,6 @@ __all__ = [
     "BadIndexError",
     "CapExceededError",
     "BadStateFileError",
-    "DegenerateError",
     "BadKError",
     "BadVariantError",
     "InfeasibleError",
@@ -41,10 +40,6 @@ class CapExceededError(PartialSearchError):
 
 class BadStateFileError(PartialSearchError, ValueError):
     """A PGSV file with a bad header or a payload of the wrong size."""
-
-
-class DegenerateError(PartialSearchError, ValueError):
-    """The operation is undefined for single-item blocks."""
 
 
 class BadKError(PartialSearchError, ValueError):

@@ -14,31 +14,24 @@ Both maps preserve the real span of three vectors: the target item, the
 uniform sum of the other b-1 items in the target block, and the uniform
 sum of the N-b items outside it.  A state is therefore stored as one
 per-item amplitude for each class, which keeps the evolution exact for
-any N up to 2**53 at O(1) cost per iteration.
+any N up to 2**53 at O(1) cost per iteration.  The module is pure Python
+on the standard library's ``math``, as is the rest of the reduced layer;
+only the full-state cross-check (``statevector``) needs an array library.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import operator
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import (
-    DegenerateError,
-    NonDivisibleError,
-    PrecisionError,
-    TooSmallError,
-)
+from .errors import NonDivisibleError, PrecisionError, TooSmallError
 
 __all__ = [
     "MAX_ITEMS",
     "Geometry",
     "ReducedState",
     "Schedule",
-    "EigenPair",
     "make_geometry",
     "uniform_state",
     "norm_squared",
@@ -47,11 +40,6 @@ __all__ = [
     "run_schedule",
     "block_success_probability",
     "item_success_probability",
-    "eigensystem",
-    "global_matrix",
-    "local_matrix",
-    "to_class_vector",
-    "from_class_vector",
 ]
 
 #: Largest database size whose integer arithmetic stays exact in float64.
@@ -110,15 +98,6 @@ class Schedule:
     def queries(self) -> int:
         """Total oracle queries: one per iteration."""
         return self.j1 + self.j2 + (1 if self.trailing_global else 0)
-
-
-@dataclass(frozen=True, slots=True)
-class EigenPair:
-    """Eigenvalue and eigenvector of an iteration, in the orthonormal
-    (target, in-block rest, outside) class basis."""
-
-    eigenvalue: complex
-    eigenvector: tuple[complex, complex, complex]
 
 
 def make_geometry(n_items: int, n_blocks: int) -> Geometry:
@@ -250,89 +229,3 @@ def block_success_probability(s: ReducedState, g: Geometry) -> float:
 def item_success_probability(s: ReducedState) -> float:
     """Probability that a measurement lands exactly on the target item."""
     return s.amp_target**2
-
-
-def to_class_vector(s: ReducedState, g: Geometry) -> np.ndarray:
-    """Coefficients of ``s`` in the orthonormal class basis
-    (target, in-block rest, outside)."""
-    b, n = g.block_size, g.n_items
-    return np.array(
-        [
-            s.amp_target,
-            math.sqrt(b - 1) * s.amp_ntt,
-            math.sqrt(n - b) * s.amp_nb,
-        ]
-    )
-
-
-def from_class_vector(v: np.ndarray, g: Geometry) -> ReducedState:
-    """Inverse of :func:`to_class_vector`; weightless classes map to 0."""
-    b, n = g.block_size, g.n_items
-    amp_ntt = v[1] / math.sqrt(b - 1) if b > 1 else 0.0
-    amp_nb = v[2] / math.sqrt(n - b) if n > b else 0.0
-    return ReducedState(float(v[0]), float(amp_ntt), float(amp_nb))
-
-
-def global_matrix(g: Geometry) -> np.ndarray:
-    """3x3 matrix of the global iteration in the orthonormal class basis.
-
-    It acts as a rotation by 2*theta1 in the plane spanned by the target
-    and the uniform sum of everything else, and as -1 on the remaining
-    direction.
-    """
-    n, b = g.n_items, g.block_size
-    sb = math.sqrt(b - 1)
-    so = math.sqrt(n - b)
-    return np.array(
-        [
-            [1.0 - 2.0 / n, 2.0 * sb / n, 2.0 * so / n],
-            [-2.0 * sb / n, 2.0 * (b - 1) / n - 1.0, 2.0 * sb * so / n],
-            [-2.0 * so / n, 2.0 * sb * so / n, 2.0 * (n - b) / n - 1.0],
-        ]
-    )
-
-
-def local_matrix(g: Geometry) -> np.ndarray:
-    """3x3 matrix of the local iteration in the orthonormal class basis:
-    a rotation by 2*theta2 of the first two coordinates."""
-    b = g.block_size
-    c = 1.0 - 2.0 / b
-    s = 2.0 * math.sqrt(b - 1) / b
-    return np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
-def eigensystem(g: Geometry, which: str) -> list[EigenPair]:
-    """The conjugate eigenpairs of one iteration.
-
-    ``which`` is "global" or "local".  Eigenvalues are exp(+-2i*theta);
-    eigenvectors are (|target> +- i|w>)/sqrt(2) expressed in the orthonormal
-    class basis, where |w> is the unit vector the reflection pairs with the
-    target (for the global iteration the uniform sum of all non-target
-    items, for the local one the in-block rest direction).
-
-    Raises DegenerateError for ``which="local"`` when blocks hold a single
-    item, since no in-block rest direction exists.
-    """
-    if which == "global":
-        theta = g.theta1
-        w_ntt = math.sqrt((g.block_size - 1) / (g.n_items - 1))
-        w_nb = math.sqrt((g.n_items - g.block_size) / (g.n_items - 1))
-    elif which == "local":
-        if g.block_size == 1:
-            raise DegenerateError("single-item blocks have no local eigensystem")
-        theta = g.theta2
-        w_ntt, w_nb = 1.0, 0.0
-    else:
-        raise ValueError(f"unknown iteration kind {which!r}")
-
-    inv_sqrt2 = 1.0 / math.sqrt(2)
-    pairs = []
-    for sign in (+1, -1):
-        value = cmath.exp(2j * sign * theta)
-        vector = (
-            complex(inv_sqrt2),
-            sign * 1j * inv_sqrt2 * w_ntt,
-            sign * 1j * inv_sqrt2 * w_nb,
-        )
-        pairs.append(EigenPair(value, vector))
-    return pairs

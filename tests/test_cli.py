@@ -48,14 +48,60 @@ def test_cli_matches_golden(case_id, capsys):
     assert (err.splitlines() or [""])[-1] == case["stderr_last_line"]
 
 
+# The reduced engine is pure Python: every golden that does not run the full
+# engine must come out the same in a process where numpy cannot be imported.
+_WITHOUT_NUMPY = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None  # makes `import numpy` raise ModuleNotFoundError
+from pgsearch.cli import main
+results = {}
+for case_id, argv in json.load(sys.stdin).items():
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    results[case_id] = [code, out.getvalue(), (err.getvalue().splitlines() or [""])[-1]]
+json.dump(results, sys.stdout)
+"""
+
+
+def test_reduced_commands_need_no_numpy():
+    cases = {case_id: case["argv"] for case_id, case in GOLDEN_CASES.items()
+             if "full" not in case["argv"]}
+    assert {"optimize_k2_5_inf.text", "schedule_1024_4_exact.csv",
+            "compare_k2_30.json", "bound_1024_4.text",
+            "simulate_reduced.text"} <= set(cases)
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY],
+                          input=json.dumps(cases), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    for case_id, (code, out, err_last) in json.loads(proc.stdout).items():
+        case = GOLDEN_CASES[case_id]
+        assert code == case["code"], case_id
+        expected = (GOLDEN_DIR / case_id).read_bytes() if code == 0 else b""
+        assert out.encode() == expected, case_id
+        assert err_last == case["stderr_last_line"], case_id
+
+
 # ------------------------------------------------------------ small pieces
 
 def test_parse_k_spec_forms():
-    assert parse_k_spec("4") == [4.0]
-    assert parse_k_spec("2..5") == [2.0, 3.0, 4.0, 5.0]
-    assert parse_k_spec("2..4,inf") == [2.0, 3.0, 4.0, math.inf]
+    assert parse_k_spec("4") == [4]
+    assert parse_k_spec("2..5") == [2, 3, 4, 5]
+    assert parse_k_spec("2..4,inf") == [2, 3, 4, math.inf]
     assert parse_k_spec("inf") == [math.inf]
-    assert parse_k_spec(" 3 , 7 ") == [3.0, 7.0]
+    assert parse_k_spec(" 3 , 7 ") == [3, 7]
+
+
+def test_block_counts_above_2_53_stay_exact(capsys):
+    # floats would turn these into 2**53, 2**53 + 2 and 2**53 + 4
+    spec = "9007199254740993..9007199254740995"
+    assert parse_k_spec(spec) == [2**53 + 1, 2**53 + 2, 2**53 + 3]
+    code, out, err = run_cli(["optimize", "--k", spec, "--format", "csv"], capsys)
+    assert code == 0 and err == ""
+    assert [row[0] for row in csv.reader(io.StringIO(out))][1:] == [
+        "9007199254740993", "9007199254740994", "9007199254740995"]
 
 
 @pytest.mark.parametrize("bad", ["", "x", "5..2", "3..", "1.5"])
@@ -72,6 +118,8 @@ def test_oversized_k_spec_is_refused_before_expansion(capsys):
     assert "more than 1000000 values" in capsys.readouterr().err
     with pytest.raises(argparse.ArgumentTypeError):
         parse_k_spec("1..10,1..1000000")  # the count spans all ranges
+    with pytest.raises(argparse.ArgumentTypeError):
+        parse_k_spec("1..1000000,5")  # and single counts
 
 
 _K_TOKENS = st.one_of(
@@ -89,13 +137,15 @@ _K_TOKENS = st.one_of(
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(st.text(), st.lists(_K_TOKENS, max_size=4).map(",".join)))
-def test_parse_k_spec_returns_floats_or_refuses(spec):
+def test_parse_k_spec_returns_ints_or_refuses(spec):
     try:
         values = parse_k_spec(spec)
     except argparse.ArgumentTypeError:
         return
     assert 0 < len(values) <= MAX_TABLE_K
-    assert all(type(v) is float for v in values)
+    assert all(type(v) is int or v == math.inf for v in values)
+    for v in values:
+        float(v)  # counts beyond the float range are refused
 
 
 # ---------------------------------------------------------------- optimize

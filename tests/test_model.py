@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pgsearch import (
-    DegenerateError,
     NonDivisibleError,
     PrecisionError,
     Schedule,
@@ -15,15 +14,10 @@ from pgsearch import (
     apply_global,
     apply_local,
     block_success_probability,
-    eigensystem,
-    from_class_vector,
-    global_matrix,
     item_success_probability,
-    local_matrix,
     make_geometry,
     norm_squared,
     run_schedule,
-    to_class_vector,
     uniform_state,
 )
 import pgsearch.model as model
@@ -165,7 +159,6 @@ def test_local_flips_target_for_single_item_blocks():
     out = apply_local(s, g)
     assert out.amp_target == -s.amp_target
     assert out.amp_nb == s.amp_nb
-    np.testing.assert_array_equal(local_matrix(g), np.diag([-1.0, -1.0, 1.0]))
 
 
 def test_apply_rejects_denormalized_state():
@@ -301,106 +294,32 @@ def test_interrupted_item_success_large_case():
 
 # ------------------------------------------------------------ linear maps
 
-@pytest.mark.parametrize("n, k", [(4, 2), (64, 4), (1024, 4), (4096, 16)])
-def test_matrices_are_orthogonal(n, k):
-    g = make_geometry(n, k)
-    for m in (global_matrix(g), local_matrix(g)):
-        np.testing.assert_allclose(m.T @ m, np.eye(3), atol=1e-12)
+def _class_basis_matrices(g):
+    """The global and the local iteration as 3x3 matrices on the orthonormal
+    class basis (target, in-block rest, outside), built from the definition:
+    the oracle's sign flip, then a reflection about the uniform vector of the
+    database, or of the target block with the outside class held fixed."""
+    n, b = g.n_items, g.block_size
+    oracle = np.diag([-1.0, 1.0, 1.0])
+    u = np.array([1.0, math.sqrt(b - 1), math.sqrt(n - b)]) / math.sqrt(n)
+    v = np.array([1.0, math.sqrt(b - 1), 0.0]) / math.sqrt(b)
+    return ((2.0 * np.outer(u, u) - np.eye(3)) @ oracle,
+            (2.0 * np.outer(v, v) - np.diag([1.0, 1.0, -1.0])) @ oracle)
 
 
 def test_matrix_route_matches_applies():
     for n, k in ((1024, 4), (64, 64)):  # K = N: single-item blocks
         g = make_geometry(n, k)
-        v = to_class_vector(uniform_state(g), g)
+        b = g.block_size
+        weights = np.array([1.0, math.sqrt(b - 1), math.sqrt(n - b)])
         s = uniform_state(g)
-        gm, lm = global_matrix(g), local_matrix(g)
+        v = weights * (s.amp_target, s.amp_ntt, s.amp_nb)
+        gm, lm = _class_basis_matrices(g)
         for _ in range(7):
             v = gm @ v
             s = apply_global(s, g)
         for _ in range(9):
             v = lm @ v
             s = apply_local(s, g)
-        np.testing.assert_allclose(v, to_class_vector(s, g), atol=1e-12)
-
-
-def test_class_vector_round_trip():
-    g = make_geometry(1024, 4)
-    s = run_schedule(g, Schedule(4, 9, True))
-    back = from_class_vector(to_class_vector(s, g), g)
-    assert back.amp_target == pytest.approx(s.amp_target, abs=1e-15)
-    assert back.amp_ntt == pytest.approx(s.amp_ntt, abs=1e-15)
-    assert back.amp_nb == pytest.approx(s.amp_nb, abs=1e-15)
-
-
-# ------------------------------------------------------------- eigensystem
-
-@pytest.mark.parametrize("n, k", [(4, 2), (64, 4), (1024, 4), (4096, 16), (30, 5)])
-@pytest.mark.parametrize("which", ["global", "local"])
-def test_eigen_residual(n, k, which):
-    g = make_geometry(n, k)
-    m = global_matrix(g) if which == "global" else local_matrix(g)
-    for pair in eigensystem(g, which):
-        vec = np.array(pair.eigenvector)
-        assert abs(abs(pair.eigenvalue) - 1.0) <= 1e-12
-        assert abs(np.linalg.norm(vec) - 1.0) <= 1e-12
-        assert np.linalg.norm(m @ vec - pair.eigenvalue * vec) <= 1e-12
-
-
-def test_eigenvalues_n4_global():
-    pairs = eigensystem(make_geometry(4, 2), "global")
-    values = sorted((p.eigenvalue for p in pairs), key=lambda z: z.imag)
-    assert values[1] == pytest.approx(np.exp(1j * math.pi / 3), abs=1e-15)
-    assert values[0] == pytest.approx(np.exp(-1j * math.pi / 3), abs=1e-15)
-    assert values[0] * values[1] == pytest.approx(1.0, abs=1e-15)
-
-
-def test_eigenvalues_local_1024_4():
-    pairs = eigensystem(make_geometry(1024, 4), "local")
-    got = sorted((p.eigenvalue for p in pairs), key=lambda z: z.imag)
-    expected = np.exp(2j * math.asin(1 / 16))
-    assert got[0] == pytest.approx(expected.conjugate(), abs=1e-15)
-    assert got[1] == pytest.approx(expected, abs=1e-15)
-
-
-def test_eigensystem_degenerate_and_unknown():
-    g = make_geometry(8, 8)
-    with pytest.raises(DegenerateError):
-        eigensystem(g, "local")
-    with pytest.raises(ValueError):
-        eigensystem(g, "sideways")
-
-
-def test_eigen_route_reproduces_iteration():
-    """Spectral evolution (eigenpairs plus the leftover eigendirection)
-    must agree with repeated application of the map itself."""
-    g = make_geometry(1024, 4)
-    j = 13
-
-    pairs = eigensystem(g, "global")
-    w_ntt = math.sqrt((g.block_size - 1) / (g.n_items - 1))
-    w_nb = math.sqrt((g.n_items - g.block_size) / (g.n_items - 1))
-    # the complement of the rotation plane picks up a sign each iteration
-    u = np.array([0.0, w_nb, -w_ntt], dtype=complex)
-
-    v0 = to_class_vector(uniform_state(g), g).astype(complex)
-    vj = ((-1.0) ** j) * np.vdot(u, v0) * u
-    for pair in pairs:
-        vec = np.array(pair.eigenvector)
-        vj = vj + np.vdot(vec, v0) * pair.eigenvalue**j * vec
-
-    s = uniform_state(g)
-    for _ in range(j):
-        s = apply_global(s, g)
-    np.testing.assert_allclose(vj.real, to_class_vector(s, g), atol=1e-12)
-    np.testing.assert_allclose(vj.imag, 0.0, atol=1e-12)
-
-    pairs = eigensystem(g, "local")
-    u = np.array([0.0, 0.0, 1.0], dtype=complex)  # outside class, fixed
-    vj = np.vdot(u, v0) * u
-    for pair in pairs:
-        vec = np.array(pair.eigenvector)
-        vj = vj + np.vdot(vec, v0) * pair.eigenvalue**j * vec
-    s = uniform_state(g)
-    for _ in range(j):
-        s = apply_local(s, g)
-    np.testing.assert_allclose(vj.real, to_class_vector(s, g), atol=1e-12)
+        np.testing.assert_allclose(
+            v, weights * (s.amp_target, s.amp_ntt, s.amp_nb), atol=1e-12)
