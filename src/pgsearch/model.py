@@ -14,9 +14,11 @@ Both maps preserve the real span of three vectors: the target item, the
 uniform sum of the other b-1 items in the target block, and the uniform
 sum of the N-b items outside it.  A state is therefore stored as one
 per-item amplitude for each class, which keeps the evolution exact for
-any N up to 2**53 at O(1) cost per iteration.  The module is pure Python
-on the standard library's ``math``, as is the rest of the reduced layer;
-only the full-state cross-check (``statevector``) needs an array library.
+any N up to 2**53 at O(1) cost per iteration, and :func:`schedule_state`
+gives a whole schedule's final state at O(1) cost.  The module is pure
+Python on the standard library's ``math``, as is the rest of the reduced
+layer; only the full-state cross-check (``statevector``) needs an array
+library.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ __all__ = [
     "apply_global",
     "apply_local",
     "run_schedule",
+    "schedule_state",
     "block_success_probability",
     "item_success_probability",
 ]
@@ -191,23 +194,56 @@ def run_schedule(g: Geometry, schedule: Schedule) -> ReducedState:
     return s
 
 
+def _class_basis(g: Geometry, j2: int) -> tuple[float, float, float, float]:
+    """(c1, c2, cos(omega), sin(omega)) of the rotation picture.
+
+    In the orthonormal class basis (target, in-block rest, outside), j1
+    globals take the uniform state to (sin(phi), c1*cos(phi), c2*cos(phi))
+    with phi = (2*j1+1)*theta1, c1**2 = (b-1)/(N-1) and c2**2 = (N-b)/(N-1);
+    j2 locals then rotate the first two coordinates by omega = 2*j2*theta2.
+    """
+    n, b = g.n_items, g.block_size
+    c1 = math.sqrt(b - 1) / math.sqrt(n - 1)
+    c2 = math.sqrt(n - b) / math.sqrt(n - 1)
+    omega = 2.0 * j2 * g.theta2
+    return c1, c2, math.cos(omega), math.sin(omega)
+
+
+def schedule_state(g: Geometry, schedule: Schedule) -> ReducedState:
+    """Final state of ``schedule``, O(1) at any N and closer to exact than
+    :func:`run_schedule`, whose rounding grows with the query count.
+
+    Globals and locals are :func:`_class_basis` in closed form, per item
+    (c1/sqrt(b-1) = c2/sqrt(N-b) = 1/sqrt(N-1), also for an empty class);
+    the trailing global is one literal :func:`apply_global`, which keeps
+    exactly vanishing amplitudes (N = 4, K = 2) at zero.
+    """
+    b = g.block_size
+    c1, _, cos_w, sin_w = _class_basis(g, schedule.j2)
+    phi = (2 * schedule.j1 + 1) * g.theta1
+    sin_p, cos_p = math.sin(phi), math.cos(phi)
+    rest = cos_p / math.sqrt(g.n_items - 1)
+    # sin(omega)/sqrt(b-1) tends to -2*j2*cos(omega) as b -> 1: what the
+    # literal steps give the then weightless amp_ntt.
+    turn = sin_w / math.sqrt(b - 1) if b > 1 else -2.0 * schedule.j2 * cos_w
+    s = ReducedState(cos_w * sin_p + sin_w * c1 * cos_p,
+                     cos_w * rest - turn * sin_p, rest)
+    return apply_global(s, g) if schedule.trailing_global else s
+
+
 def _outside_coefficients(g: Geometry, j2: int) -> tuple[float, float]:
     """(P, Q) with the outside amplitude of schedule (j1, j2) after its
     trailing global equal to P*sin(phi) + Q*cos(phi), phi = (2*j1+1)*theta1.
 
-    In the orthonormal class basis, j1 globals take the uniform state to
-    (sin(phi), c1*cos(phi), c2*cos(phi)) with c1**2 = (b-1)/(N-1) and
-    c2**2 = (N-b)/(N-1); j2 locals rotate the first two coordinates by
-    omega = 2*j2*theta2; the trailing global's third row
-    (-2*so/N, 2*sb*so/N, 1 - 2/K), sb = sqrt(b-1), so = sqrt(N-b), then
-    gives the outside amplitude.  The block success is one minus its square.
+    After the globals and locals of :func:`_class_basis`, the trailing
+    global's third row (-2*so/N, 2*sb*so/N, 1 - 2/K), sb = sqrt(b-1),
+    so = sqrt(N-b), gives the outside amplitude.  The block success is one
+    minus its square.
     """
     n, b = g.n_items, g.block_size
     sb, so = math.sqrt(b - 1), math.sqrt(n - b)
     r0, r1, r2 = -2.0 * so / n, 2.0 * sb * so / n, 1.0 - 2.0 * b / n
-    c1, c2 = sb / math.sqrt(n - 1), so / math.sqrt(n - 1)
-    omega = 2.0 * j2 * g.theta2
-    cos_w, sin_w = math.cos(omega), math.sin(omega)
+    c1, c2, cos_w, sin_w = _class_basis(g, j2)
     return (r0 * cos_w - r1 * sin_w,
             c1 * (r0 * sin_w + r1 * cos_w) + r2 * c2)
 

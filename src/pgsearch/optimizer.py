@@ -253,9 +253,10 @@ def optimal_exact_schedule(
     (4*queries + 16)*2**-52 around the threshold, which bounds its
     difference from :func:`run_schedule`; inside the band ``run_schedule``
     decides, so the winner is the one an exhaustive ``run_schedule`` scan
-    would pick.  The row of the asymptotic j2 goes first.  Its winner caps
-    j1 in every other row, and the scan over j2 stops once j2 + 1 queries
-    can no longer beat it, so O(sqrt(b)) rows are searched.
+    would pick; its :func:`schedule_state` success may be up to the band
+    below the threshold.  The row of the asymptotic j2 goes first.  Its
+    winner caps j1 in every other row, and the scan over j2 stops once
+    j2 + 1 queries can no longer beat it, so O(sqrt(b)) rows are searched.
     """
     _check_k(g.n_blocks)
     if not 0.0 < success_threshold < 1.0:

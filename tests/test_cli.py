@@ -15,9 +15,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pgsearch.cli as cli
-from pgsearch import asymptotic_optimum, comparison_table, load_state
+from pgsearch import (
+    asymptotic_optimum,
+    asymptotic_schedule,
+    comparison_table,
+    load_state,
+    make_geometry,
+)
 from pgsearch.analysis import MAX_TABLE_K
 from pgsearch.cli import _build_parser, main, parse_k_spec
+from pgsearch.optimizer import _band
 
 
 def run_cli(argv, capsys):
@@ -225,6 +232,43 @@ def test_schedule_exact_row(capsys):
     assert by_mode["exact"]["queries"] == 20
     assert by_mode["exact"]["queries"] <= by_mode["asymptotic"]["queries"]
     assert by_mode["exact"]["block_success"] >= 0.999
+
+
+def test_schedule_at_2_53_is_closed_form(capsys):
+    """The reported row costs O(1): stepping its 58 million queries took
+    seconds and drifted past the normalization check."""
+    argv = ["schedule", "--n", str(2**53), "--k", "4", "--format", "csv"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert out.splitlines()[-1] == (
+        "asymptotic,29206440,29206440,true,58412881,0.9999999999999999")
+
+
+def test_simulate_at_2_53_is_fast(capsys):
+    g = make_geometry(2**53, 2)
+    sch = asymptotic_schedule(g)
+    argv = ["simulate", "--n", str(2**53), "--k", "2", "--j1", str(sch.j1),
+            "--j2", str(sch.j2), "--format", "json"]
+    t0 = time.perf_counter()
+    code, out, _ = run_cli(argv, capsys)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 0
+    assert json.loads(out)["block_success"] == pytest.approx(1.0, abs=1e-14)
+
+
+def test_exact_winner_near_one_reports_its_closed_form_success(capsys):
+    """The winner is decided by run_schedule, whose drift lifts it above
+    the threshold (and above 1); the report's closed-form p is truthful,
+    within the decision band below the threshold."""
+    threshold = 0.999999999999999
+    code, out, _ = run_cli(
+        ["schedule", "--exact", "--n", "4194304", "--k", "4",
+         "--threshold", repr(threshold), "--format", "json"], capsys)
+    assert code == 0
+    exact = json.loads(out)["schedules"][1]
+    assert (exact["j1"], exact["j2"], exact["queries"]) == (439, 849, 1289)
+    assert exact["block_success"] <= 1.0
+    assert abs(exact["block_success"] - threshold) <= _band(1289)
 
 
 def test_schedule_json_has_no_threshold_without_exact(capsys):

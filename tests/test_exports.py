@@ -16,6 +16,7 @@ def test_package_all_is_the_union_of_submodule_exports():
         for name in module.__all__:
             assert getattr(pgsearch, name) is getattr(module, name)
     assert isinstance(pgsearch.__version__, str)
+    assert pgsearch.schedule_state is model.schedule_state
 
 
 def test_statevector_names_resolve_lazily():

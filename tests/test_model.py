@@ -1,7 +1,9 @@
 """Tests for the reduced 3-class engine."""
 
 import math
+import random
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,14 +15,17 @@ from pgsearch import (
     TooSmallError,
     apply_global,
     apply_local,
+    asymptotic_schedule,
     block_success_probability,
     item_success_probability,
     make_geometry,
     norm_squared,
     run_schedule,
+    schedule_state,
     uniform_state,
 )
 import pgsearch.model as model
+from pgsearch.optimizer import _band
 
 
 # ---------------------------------------------------------------- geometry
@@ -323,3 +328,102 @@ def test_matrix_route_matches_applies():
             s = apply_local(s, g)
         np.testing.assert_allclose(
             v, weights * (s.amp_target, s.amp_ntt, s.amp_nb), atol=1e-12)
+
+
+# ------------------------------------------------------ closed-form state
+
+#: Stated bound on |schedule_state - exact| for every per-item amplitude
+#: and for the block success.  At K = N the weightless amp_ntt carries
+#: 2*j2 times the target's error, which sets the worst case (2.7e-15 at
+#: N = 3); elsewhere the error stays below about 1e-15.
+STATE_TOL = 4e-15
+
+
+def _mp_final_state(n, k, schedule):
+    """Per-item amplitudes and block success of ``schedule`` at 50 digits.
+
+    The literal reflections, as 3x3 matrices on the per-item class
+    amplitudes (target, in-block rest, outside): the oracle flips the
+    target, then each moved item becomes twice the mean over the database
+    (global) or over its block (local) minus itself.  Powers go by
+    squaring, so N up to 2**53 stays cheap.
+    """
+    with mpmath.workdps(50):
+        n_, b = mpmath.mpf(n), mpmath.mpf(n // k)
+        flip = mpmath.diag([-1, 1, 1])
+        mean_n = [2 * c / n_ for c in (1, b - 1, n_ - b)]
+        mean_b = [2 * c / b for c in (1, b - 1, 0)]
+        glob = (mpmath.matrix([mean_n] * 3) - mpmath.eye(3)) * flip
+        local = (mpmath.matrix([mean_b] * 2 + [[0, 0, 0]])
+                 - mpmath.diag([1, 1, -1])) * flip
+        v = mpmath.matrix([1, 1, 1]) / mpmath.sqrt(n_)
+        v = glob ** int(schedule.trailing_global) * (
+            local ** schedule.j2 * (glob ** schedule.j1 * v))
+        return [v[0], v[1], v[2]], v[0] ** 2 + (b - 1) * v[1] ** 2
+
+
+def _state_errors(g, schedule):
+    """Largest amplitude error and block-success error of schedule_state."""
+    s = schedule_state(g, schedule)
+    exact, p = _mp_final_state(g.n_items, g.n_blocks, schedule)
+    got = (s.amp_target, s.amp_ntt, s.amp_nb)
+    return (max(abs(float(e - a)) for e, a in zip(exact, got)),
+            abs(float(p - block_success_probability(s, g))))
+
+
+def _random_schedule(rng, n):
+    k = rng.choice([d for d in (1, 2, 3, 4, 16, 256, n) if n % d == 0])
+    g = make_geometry(n, k)
+    j1 = rng.randint(0, math.ceil(math.pi * math.sqrt(n) / 4.0))
+    j2 = rng.randint(0, math.ceil(math.pi * math.sqrt(g.block_size) / 2.0))
+    return g, Schedule(j1, j2, trailing_global=rng.random() < 0.75)
+
+
+def test_schedule_state_matches_50_digit_reflections():
+    """320 random schedules, N <= 2**16, K = 1..N, with and without the
+    trailing global; the optimizer's closed form agrees within its band."""
+    rng = random.Random(9)
+    kinds = set()
+    for e in range(1, 17):
+        for _ in range(20):
+            n = 2**e if e < 2 or rng.random() < 0.8 else 3 * 2 ** (e - 2)
+            g, sch = _random_schedule(rng, n)
+            kinds.add((g.n_blocks == n, sch.trailing_global))
+            amp_err, p_err = _state_errors(g, sch)
+            assert amp_err <= STATE_TOL and p_err <= STATE_TOL, (n, g.n_blocks, sch)
+            if sch.trailing_global and g.n_blocks >= 2:
+                coeffs = model._outside_coefficients(g, sch.j2)
+                closed = model._closed_form_success(g, coeffs, sch.j1)
+                p = block_success_probability(schedule_state(g, sch), g)
+                assert abs(closed - p) <= _band(sch.queries)
+    assert len(kinds) == 4  # K = N and no trailing global both occurred
+
+
+def test_schedule_state_accuracy_up_to_2_53():
+    """Two random schedules and the asymptotic K = 4 schedule per size."""
+    rng = random.Random(10)
+    for e in range(36, 54):
+        n = 2**e
+        g4 = make_geometry(n, 4)
+        for g, sch in (_random_schedule(rng, n), _random_schedule(rng, n),
+                       (g4, asymptotic_schedule(g4))):
+            amp_err, p_err = _state_errors(g, sch)
+            assert amp_err <= STATE_TOL and p_err <= STATE_TOL, (n, g.n_blocks, sch)
+
+
+def test_schedule_state_takes_one_literal_step(monkeypatch):
+    """The trailing global is the only iteration applied, at any N."""
+    calls = []
+    monkeypatch.setattr(model, "apply_local", lambda s, g: calls.append("l"))
+    real_global = model.apply_global
+
+    def counting_global(s, g):
+        calls.append("g")
+        return real_global(s, g)
+
+    monkeypatch.setattr(model, "apply_global", counting_global)
+    g = make_geometry(2**53, 4)
+    for trailing in (True, False):
+        calls.clear()
+        model.schedule_state(g, Schedule(29206440, 29206440, trailing))
+        assert calls == (["g"] if trailing else [])
