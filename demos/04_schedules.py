@@ -15,6 +15,7 @@ from pgsearch import (
     make_geometry,
     optimal_exact_schedule,
     run_schedule,
+    schedule_state,
     vanishing_residual,
 )
 
@@ -37,7 +38,7 @@ print()
 g = make_geometry(1024, 4)
 for threshold in (0.9, 0.99, 0.999, 0.9999):
     sch = optimal_exact_schedule(g, threshold)
-    p = block_success_probability(run_schedule(g, sch), g)
+    p = block_success_probability(schedule_state(g, sch), g)
     print(
         f"threshold {threshold:<7}: schedule ({sch.j1:>2}, {sch.j2}), "
         f"{sch.queries} queries, achieved {p:.7f}"

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import BadKError, BadVariantError
-from .model import Geometry, Schedule, run_schedule
+from .model import Geometry, Schedule, schedule_state
 from .optimizer import _stationary_point, asymptotic_optimum
 
 __all__ = [
@@ -139,7 +139,7 @@ def final_state_deviation(g: Geometry, schedule: Schedule) -> float:
     sqrt(N-b)*|amp_nb|, the norm the class carries).
     """
     opt = asymptotic_optimum(g.n_blocks)
-    s = run_schedule(g, schedule)
+    s = schedule_state(g, schedule)
     b, n = g.block_size, g.n_items
     return max(
         abs(s.amp_target - math.sin(opt.alpha)),

@@ -274,9 +274,7 @@ _COMMANDS = {
          ("--exact", dict(action="store_true", help=(
              "also find the cheapest schedule meeting --threshold"))),
          ("--threshold", dict(type=float, default=0.99, help=(
-             "block success required by --exact (default 0.99); a winner "
-             "decided by run_schedule may report up to "
-             "(4*queries+16)*2**-52 less")))],
+             "block success required by --exact (default 0.99)")))],
     ),
     "simulate": (
         cmd_simulate, "run one schedule and report amplitudes",

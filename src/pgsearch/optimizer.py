@@ -20,10 +20,9 @@ coefficient c_K = eta_K - alpha_K.  For finite sizes,
 :func:`optimal_exact_schedule` finds the integer optimum in closed form.
 For each local count j2 the amplitude left outside the target block is
 R*sin(phi + delta) with phi = (2*j1+1)*theta1, so the first adequate j1 of
-a row follows from an arcsin, at O(1) cost at any N.  Candidates whose
-closed-form success lies within a rounding band of the threshold are
-decided by :func:`run_schedule`, so the winner is the one an exhaustive
-``run_schedule`` scan of the box picks.
+a row follows from an arcsin, at O(1) cost at any N.  The winner is the
+cheapest schedule whose reported block success (:func:`schedule_state`)
+is >= the threshold.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from .model import (
     _closed_form_success,
     _outside_coefficients,
     block_success_probability,
-    run_schedule,
+    schedule_state,
 )
 
 __all__ = [
@@ -176,17 +175,13 @@ def vanishing_residual(g: Geometry, j1, j2) -> float:
     return lhs - rhs
 
 
-def _band(queries: int) -> float:
-    """Bound on |closed-form p - run_schedule p| for a candidate of
-    ``queries`` oracle queries.
-
-    In units of 2**-52, the closed form is within 8 of the exact block
-    success at any N, and ``run_schedule`` within 4 per query plus 8: it
-    drifts by about 2 per query, mostly because each reflection divides by
-    the square of a rounded sqrt(N) or sqrt(b).  The test suite checks both
-    bounds against a 50-digit evaluation; the band is their sum.
-    """
-    return (4 * queries + 16) * 2.0**-52
+#: Half-width of the band around the threshold inside which the closed form
+#: cannot decide a candidate.  In units of 2**-52 the closed form is within
+#: 8 of the exact block success up to N = 2**53, and :func:`schedule_state`
+#: within about 18 (4e-15); the test suite checks both bounds against a
+#: 50-digit evaluation.  Farther than 8 + 18 = 26 from the threshold, the
+#: closed form and schedule_state fall on the same side of it.
+_BAND = 32 * 2.0**-52
 
 
 def _first_feasible_j1(
@@ -202,11 +197,10 @@ def _first_feasible_j1(
     window's first j1 comes from that arcsin; the j1 below it is checked
     directly, and the walk stays in the window until a candidate decides.
     A candidate within the band of the threshold is decided by
-    :func:`run_schedule`, which is what "reaches" means.
+    :func:`schedule_state`, which is what "reaches" means.
     """
     coeffs = _outside_coefficients(g, j2)
-    band = _band(cap + j2 + 1)
-    lo, hi = threshold - band, threshold + band
+    lo, hi = threshold - _BAND, threshold + _BAND
     radius, amp = math.sqrt(1.0 - lo), math.hypot(*coeffs)
     half = math.asin(radius / amp) if radius < amp else math.pi / 2
     delta = math.atan2(coeffs[1], coeffs[0])
@@ -223,7 +217,7 @@ def _first_feasible_j1(
         while j1 <= cap:
             p = _closed_form_success(g, coeffs, j1)
             if p >= hi or (p >= lo and block_success_probability(
-                    run_schedule(g, Schedule(j1, j2)), g) >= threshold):
+                    schedule_state(g, Schedule(j1, j2)), g) >= threshold):
                 return j1
             j1 += 1
             if p < lo and (2 * j1 - 1) * theta1 + delta > m * math.pi:
@@ -239,24 +233,20 @@ def optimal_exact_schedule(
     """Cheapest integer schedule whose block success reaches the threshold.
 
     Searches j1 in [0, ceil(pi*sqrt(N)/4)] and j2 in [0, ceil(pi*sqrt(b)/2)],
-    always with the trailing global.  Returns the schedule of minimal query
-    count whose block success probability, as :func:`run_schedule` computes
-    it, reaches ``success_threshold``, breaking ties toward smaller j2 and
-    then smaller j1.  Raises InfeasibleError when no candidate in the box
-    qualifies.
+    always with the trailing global.  Returns the cheapest schedule whose
+    reported block success, that of :func:`schedule_state`, is >=
+    ``success_threshold``, breaking ties toward smaller j2 and then smaller
+    j1.  Raises InfeasibleError when no candidate in the box qualifies.
 
     No state is stepped: for each j2 the outside amplitude after the
     trailing global is P*sin(phi) + Q*cos(phi) with phi = (2*j1+1)*theta1,
     so the row's first adequate j1 comes from an arcsin (see
     :func:`_first_feasible_j1`) at O(1) cost.  The closed form decides a
-    candidate only when its p lies outside a band of
-    (4*queries + 16)*2**-52 around the threshold, which bounds its
-    difference from :func:`run_schedule`; inside the band ``run_schedule``
-    decides, so the winner is the one an exhaustive ``run_schedule`` scan
-    would pick; its :func:`schedule_state` success may be up to the band
-    below the threshold.  The row of the asymptotic j2 goes first.  Its
-    winner caps j1 in every other row, and the scan over j2 stops once
-    j2 + 1 queries can no longer beat it, so O(sqrt(b)) rows are searched.
+    candidate only when its p lies outside :data:`_BAND` of the threshold;
+    inside it :func:`schedule_state` decides.  The row of the asymptotic
+    j2 goes first.  Its winner caps j1 in every other row, and the scan
+    over j2 stops once j2 + 1 queries can no longer beat it, so O(sqrt(b))
+    rows are searched.
     """
     _check_k(g.n_blocks)
     if not 0.0 < success_threshold < 1.0:

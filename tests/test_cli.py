@@ -24,7 +24,8 @@ from pgsearch import (
 )
 from pgsearch.analysis import MAX_TABLE_K
 from pgsearch.cli import _build_parser, main, parse_k_spec
-from pgsearch.optimizer import _band
+
+from test_optimizer import _mp_block_success
 
 
 def run_cli(argv, capsys):
@@ -256,19 +257,19 @@ def test_simulate_at_2_53_is_fast(capsys):
     assert json.loads(out)["block_success"] == pytest.approx(1.0, abs=1e-14)
 
 
-def test_exact_winner_near_one_reports_its_closed_form_success(capsys):
-    """The winner is decided by run_schedule, whose drift lifts it above
-    the threshold (and above 1); the report's closed-form p is truthful,
-    within the decision band below the threshold."""
+def test_exact_near_one_threshold_is_infeasible(capsys):
+    """No schedule of the box reaches this threshold.  (439, 849) once won
+    through run_schedule's drift, which lifted it above 1; at 50 digits it
+    falls short."""
     threshold = 0.999999999999999
-    code, out, _ = run_cli(
+    code, _, err = run_cli(
         ["schedule", "--exact", "--n", "4194304", "--k", "4",
-         "--threshold", repr(threshold), "--format", "json"], capsys)
-    assert code == 0
-    exact = json.loads(out)["schedules"][1]
-    assert (exact["j1"], exact["j2"], exact["queries"]) == (439, 849, 1289)
-    assert exact["block_success"] <= 1.0
-    assert abs(exact["block_success"] - threshold) <= _band(1289)
+         "--threshold", repr(threshold)], capsys)
+    assert code == 3
+    assert err.strip().splitlines()[-1] == (
+        "error: no schedule with j1 <= 1609, j2 <= 1609 reaches block "
+        "success 0.999999999999999")
+    assert _mp_block_success(4194304, 4, 439, 849, iterate=False) < threshold
 
 
 def test_schedule_json_has_no_threshold_without_exact(capsys):

@@ -25,7 +25,7 @@ from pgsearch import (
     uniform_state,
 )
 import pgsearch.model as model
-from pgsearch.optimizer import _band
+from pgsearch.optimizer import _BAND
 
 
 # ---------------------------------------------------------------- geometry
@@ -395,8 +395,10 @@ def test_schedule_state_matches_50_digit_reflections():
                 coeffs = model._outside_coefficients(g, sch.j2)
                 closed = model._closed_form_success(g, coeffs, sch.j1)
                 p = block_success_probability(schedule_state(g, sch), g)
-                assert abs(closed - p) <= _band(sch.queries)
+                assert abs(closed - p) <= _BAND
     assert len(kinds) == 4  # K = N and no trailing global both occurred
+    # the band covers both bounds: closed form 8*2**-52, this state STATE_TOL
+    assert _BAND >= 8 * 2.0**-52 + STATE_TOL
 
 
 def test_schedule_state_accuracy_up_to_2_53():

@@ -21,6 +21,7 @@ from pgsearch import (
     make_geometry,
     optimal_exact_schedule,
     run_schedule,
+    schedule_state,
     sv_reduce,
     sv_run_schedule,
     vanishing_residual,
@@ -313,10 +314,10 @@ def test_exact_schedule_matches_full_state_rescan():
     )
 
 
-def _brute_force_exact_schedule(g, success_threshold):
+def _brute_force_exact_schedule(g, success_threshold, engine=run_schedule):
     """Reference for optimal_exact_schedule: every candidate of the box is
-    run from the uniform state with run_schedule.  Returns the winner and
-    its block success."""
+    run from the uniform state with ``engine``.  Returns the winner and its
+    block success."""
     j1_max = math.ceil(math.pi * math.sqrt(g.n_items) / 4.0)
     j2_max = math.ceil(math.pi * math.sqrt(g.block_size) / 2.0)
 
@@ -328,7 +329,7 @@ def _brute_force_exact_schedule(g, success_threshold):
             key = (candidate.queries, j2, j1)
             if best_key is not None and key >= best_key:
                 continue
-            final = run_schedule(g, candidate)
+            final = engine(g, candidate)
             p = block_success_probability(final, g)
             if p >= success_threshold:
                 best_key = key
@@ -396,7 +397,7 @@ def test_exact_schedule_evaluation_count_is_bounded(monkeypatch):
     """Each j2 row costs one (P, Q) and a handful of closed-form candidates;
     scanning the box, or stepping states through it, would take thousands."""
     counts = _count_calls(monkeypatch, pgsearch.optimizer, (
-        "_outside_coefficients", "_closed_form_success", "run_schedule"))
+        "_outside_coefficients", "_closed_form_success", "schedule_state"))
     g = make_geometry(4096, 4)
     j1_max = math.ceil(math.pi * math.sqrt(g.n_items) / 4.0)
     j2_max = math.ceil(math.pi * math.sqrt(g.block_size) / 2.0)
@@ -404,38 +405,40 @@ def test_exact_schedule_evaluation_count_is_bounded(monkeypatch):
     assert optimal_exact_schedule(g, 0.99) == Schedule(22, 14)
     rows = counts["_outside_coefficients"]
     assert 0 < rows <= j2_max + 2
-    assert counts["_closed_form_success"] + counts["run_schedule"] <= 3 * rows
-    assert counts["run_schedule"] == 0
+    assert counts["_closed_form_success"] + counts["schedule_state"] <= 3 * rows
+    assert counts["schedule_state"] == 0
 
 
 @pytest.mark.parametrize("n, k", [(1024, 4), (4096, 4), (1155, 3), (256, 256),
                                   (4096, 2)])
 @pytest.mark.parametrize("base", [0.5, 0.9, 0.99])
 def test_exact_schedule_at_adversarial_thresholds(n, k, base, monkeypatch):
-    """Thresholds set to a winner's own run_schedule block success and its
+    """Thresholds set to a winner's own schedule_state block success and its
     float neighbours, so that the closed form cannot decide that winner."""
     g = make_geometry(n, k)
-    winner, p = _brute_force_exact_schedule(g, base)
-    counts = _count_calls(monkeypatch, pgsearch.optimizer, ("run_schedule",))
+    winner, p = _brute_force_exact_schedule(g, base, schedule_state)
+    counts = _count_calls(monkeypatch, pgsearch.optimizer, ("schedule_state",))
     for threshold in (math.nextafter(p, 0.0), p, math.nextafter(p, 1.0)):
         if not threshold < 1.0:
             continue
         try:
-            expected, _ = _brute_force_exact_schedule(g, threshold)
+            expected, _ = _brute_force_exact_schedule(g, threshold, schedule_state)
         except InfeasibleError:
             with pytest.raises(InfeasibleError):
                 optimal_exact_schedule(g, threshold)
         else:
-            assert optimal_exact_schedule(g, threshold) == expected
+            got = optimal_exact_schedule(g, threshold)
+            assert got == expected
             assert (threshold > p) == (expected != winner)
-    assert counts["run_schedule"] >= 1  # the band path decided
+            assert block_success_probability(schedule_state(g, got), g) >= threshold
+    assert counts["schedule_state"] >= 1  # the band path decided
 
 
 @pytest.mark.parametrize("n, k", [(64, 4), (1024, 4), (1155, 5), (4096, 2),
                                   (4096, 4096)])
 @pytest.mark.parametrize("threshold", [0.3, 0.9, 0.999])
 def test_rows_skip_only_surely_infeasible_candidates(n, k, threshold, monkeypatch):
-    """Per j2 row, the first adequate j1 equals a run_schedule scan of the
+    """Per j2 row, the first adequate j1 equals a schedule_state scan of the
     row, and every j1 below it that the closed form did not evaluate has
     closed-form p below threshold - band."""
     g = make_geometry(n, k)
@@ -454,12 +457,12 @@ def test_rows_skip_only_surely_infeasible_candidates(n, k, threshold, monkeypatc
         got = pgsearch.optimizer._first_feasible_j1(g, j2, j1_max, threshold)
         feasible = [
             j1 for j1 in range(j1_max + 1)
-            if block_success_probability(run_schedule(g, Schedule(j1, j2)), g)
+            if block_success_probability(schedule_state(g, Schedule(j1, j2)), g)
             >= threshold
         ]
         assert got == (feasible[0] if feasible else None)
         coeffs = pgsearch.model._outside_coefficients(g, j2)
-        low = threshold - pgsearch.optimizer._band(j1_max + j2 + 1)
+        low = threshold - pgsearch.optimizer._BAND
         skipped = set(range(j1_max + 1 if got is None else got)) - evaluated
         assert all(closed_form(g, coeffs, j1) < low for j1 in skipped)
 
@@ -511,7 +514,8 @@ def _random_schedules(seed, exponents, count):
 
 def test_closed_form_matches_50_digit_iteration():
     """The rotation picture is the reflections' own dynamics, and both
-    float evaluations stay within the bounds that make up the band."""
+    float evaluations stay within their stated bounds; the closed form's
+    is part of the band."""
     for n, k, j1, j2 in _random_schedules(1, range(2, 13), 12):
         g = make_geometry(n, k)
         exact = _mp_block_success(n, k, j1, j2, iterate=True)
@@ -522,14 +526,16 @@ def test_closed_form_matches_50_digit_iteration():
         q = j1 + j2 + 1
         iterated = block_success_probability(run_schedule(g, Schedule(j1, j2)), g)
         assert abs(iterated - exact) <= (4 * q + 8) * 2.0**-52
-        assert pgsearch.optimizer._band(q) >= (4 * q + 16) * 2.0**-52
+    # closed form 8*2**-52 plus schedule_state's 4e-15 (test_model.STATE_TOL)
+    assert pgsearch.optimizer._BAND >= (8 + 18) * 2.0**-52
 
 
 @pytest.mark.parametrize("n, k", [(66022, 2), (66022, 66022), (1050776, 8),
                                   (1052540, 2), (2**21, 4)])
 def test_run_schedule_drift_stays_within_band(n, k):
-    """Long schedules at sizes whose sqrt(N) rounds by almost half an ulp,
-    where the iterated drift is largest."""
+    """run_schedule's stated drift bound, (4*queries + 8)*2**-52, on long
+    schedules at sizes whose sqrt(N) rounds by almost half an ulp, where
+    the iterated drift is largest."""
     g = make_geometry(n, k)
     j1_max = math.ceil(math.pi * math.sqrt(n) / 4.0)
     j2_max = math.ceil(math.pi * math.sqrt(g.block_size) / 2.0)
