@@ -3,21 +3,38 @@
 Two routes to an iteration plan: round the closed-form optimum, or
 search for the cheapest integer schedule that clears a success
 threshold.  The script compares both at several sizes, then probes the
-closed-form vanishing condition against the engine's actual zeros.
+paper's printed vanishing condition against the exact outside amplitude.
 """
 
 import math
 
 from pgsearch import (
-    Schedule,
     asymptotic_schedule,
     block_success_probability,
     make_geometry,
     optimal_exact_schedule,
-    run_schedule,
+    outside_amplitude,
     schedule_state,
-    vanishing_residual,
 )
+
+
+def paper_residual(g, j1, j2):
+    """The vanishing condition for the outside amplitude as the paper
+    prints it: left side minus the four right-side terms.  At finite N two
+    of its cross terms carry the wrong sign, so its zeros match the
+    engine's only asymptotically."""
+    n, k, b = g.n_items, g.n_blocks, g.block_size
+    phi = (2.0 * j1 + 1.0) * g.theta1
+    omega = 2.0 * j2 * g.theta2
+    lhs = -n / math.sqrt(n - 1) * (0.5 - 1.0 / k) * math.cos(phi)
+    rhs = (
+        math.cos(omega) * math.sin(phi)
+        + math.sqrt((b - 1) / (n - 1)) * math.sin(omega) * math.cos(phi)
+        - math.sqrt(b - 1) * math.sin(omega) * math.sin(phi)
+        + (b - 1) / math.sqrt(n - 1) * math.cos(omega) * math.cos(phi)
+    )
+    return lhs - rhs
+
 
 print("rounded asymptotic schedule vs. exhaustive exact search (threshold 0.99):")
 print("     N    K    asymptotic (j1, j2)  queries    exact (j1, j2)  queries")
@@ -49,10 +66,8 @@ print("vanishing condition: closed-form residual vs. the engine's amp_nb")
 print("(N=1024, K=4, j1=0, sweeping j2; the engine is the ground truth)")
 print("  j2   closed-form residual   sqrt(N-b)*amp_nb after trailing global")
 for j2 in (20, 22, 24, 26, 28):
-    sch = Schedule(0, j2, True)
-    final = run_schedule(g, sch)
-    outside = math.sqrt(g.n_items - g.block_size) * final.amp_nb
-    resid = vanishing_residual(g, 0, j2)
+    outside = outside_amplitude(g, 0, j2)
+    resid = paper_residual(g, 0, j2)
     print(f"  {j2:>2}   {resid:+.6f}             {outside:+.6f}")
 print()
 print("the engine's outside weight crosses zero near j2=24 while the")

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from .errors import BadKError, BadVariantError
 from .model import Geometry, Schedule, schedule_state
-from .optimizer import _stationary_point, asymptotic_optimum
+from .optimizer import _check_k, _stationary_point, asymptotic_optimum
 
 __all__ = [
     "ComparisonRow",
@@ -75,7 +75,7 @@ class OperatingRange:
 
 def random_pick_coefficient(n_blocks: int) -> float:
     """Queries/sqrt(N) for guessing one block and searching the others."""
-    k = _require_k(n_blocks)
+    k = _check_k(n_blocks, finite=True)
     return math.pi / 4.0 * math.sqrt((k - 1.0) / k)
 
 
@@ -90,16 +90,8 @@ def interrupted_probability(n_blocks: int) -> float:
     """Target-block success of a full Grover run stopped where the
     optimized schedule would switch to local iterations:
     (K-2)**2 / (K*(K-1)); zero at K = 2, approaching 1 - 3/K for large K."""
-    k = _require_k(n_blocks)
+    k = _check_k(n_blocks, finite=True)
     return (k - 2) ** 2 / (k * (k - 1))
-
-
-def _require_k(n_blocks: int) -> int:
-    if n_blocks == math.inf:
-        raise BadKError("block count must be finite here")
-    if int(n_blocks) != n_blocks or n_blocks < 2:
-        raise BadKError(f"need an integer block count >= 2, got {n_blocks!r}")
-    return int(n_blocks)
 
 
 def operating_range(p_threshold: float) -> OperatingRange:
@@ -189,6 +181,7 @@ def comparison_table(k_min: int, k_max: int) -> list[ComparisonRow]:
     Coefficients are per sqrt(N) and independent of the database size.
     The K = 4 row carries the misprint note (see MISPRINT_NOTE_K4).
     """
+    k_min, k_max = _check_k(k_min, finite=True), _check_k(k_max, finite=True)
     _check_table_range(k_min, k_max)
     # Each value is computed exactly as partial_search_coefficient,
     # random_pick_coefficient, interrupted_probability and

@@ -41,6 +41,7 @@ __all__ = [
     "apply_local",
     "run_schedule",
     "schedule_state",
+    "outside_amplitude",
     "block_success_probability",
     "item_success_probability",
 ]
@@ -194,7 +195,7 @@ def run_schedule(g: Geometry, schedule: Schedule) -> ReducedState:
     return s
 
 
-def _class_basis(g: Geometry, j2: int) -> tuple[float, float, float, float]:
+def _class_basis(g: Geometry, j2) -> tuple[float, float, float, float]:
     """(c1, c2, cos(omega), sin(omega)) of the rotation picture.
 
     In the orthonormal class basis (target, in-block rest, outside), j1
@@ -231,14 +232,12 @@ def schedule_state(g: Geometry, schedule: Schedule) -> ReducedState:
     return apply_global(s, g) if schedule.trailing_global else s
 
 
-def _outside_coefficients(g: Geometry, j2: int) -> tuple[float, float]:
-    """(P, Q) with the outside amplitude of schedule (j1, j2) after its
-    trailing global equal to P*sin(phi) + Q*cos(phi), phi = (2*j1+1)*theta1.
+def _outside_coefficients(g: Geometry, j2) -> tuple[float, float]:
+    """(P, Q) of :func:`_outside_at` for the local count ``j2``.
 
     After the globals and locals of :func:`_class_basis`, the trailing
     global's third row (-2*so/N, 2*sb*so/N, 1 - 2/K), sb = sqrt(b-1),
-    so = sqrt(N-b), gives the outside amplitude.  The block success is one
-    minus its square.
+    so = sqrt(N-b), gives the outside amplitude.
     """
     n, b = g.n_items, g.block_size
     sb, so = math.sqrt(b - 1), math.sqrt(n - b)
@@ -248,12 +247,24 @@ def _outside_coefficients(g: Geometry, j2: int) -> tuple[float, float]:
             c1 * (r0 * sin_w + r1 * cos_w) + r2 * c2)
 
 
-def _closed_form_success(g: Geometry, coeffs: tuple[float, float], j1: int) -> float:
-    """Block success of schedule (j1, j2) from its row's
-    :func:`_outside_coefficients`; O(1) at any N."""
+def _outside_at(g: Geometry, coeffs: tuple[float, float], j1) -> float:
+    """P*sin(phi) + Q*cos(phi), phi = (2*j1+1)*theta1: the outside amplitude
+    of schedule (j1, j2) from its row's :func:`_outside_coefficients`."""
     phi = (2 * j1 + 1) * g.theta1
-    amp = coeffs[0] * math.sin(phi) + coeffs[1] * math.cos(phi)
-    return 1.0 - amp * amp
+    return coeffs[0] * math.sin(phi) + coeffs[1] * math.cos(phi)
+
+
+def outside_amplitude(g: Geometry, j1, j2) -> float:
+    """sqrt(N-b)*amp_nb after ``j1`` globals, ``j2`` locals and the trailing
+    global, in closed form at O(1) cost; the block success is one minus its
+    square.
+
+    Its zeros are the schedules that leave nothing outside the target
+    block (exactly 0.0 for N = 4, K = 2 and no iterations).  ``j1`` and
+    ``j2`` may be real: the rotation angles extend smoothly, with period
+    pi/theta2 in j2.
+    """
+    return _outside_at(g, _outside_coefficients(g, j2), j1)
 
 
 def block_success_probability(s: ReducedState, g: Geometry) -> float:

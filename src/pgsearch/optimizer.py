@@ -29,13 +29,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import BadKError, InfeasibleError
 from .model import (
     Geometry,
     Schedule,
-    _closed_form_success,
+    _outside_at,
     _outside_coefficients,
     block_success_probability,
     schedule_state,
@@ -47,7 +48,6 @@ __all__ = [
     "eta_from_alpha",
     "asymptotic_expansion",
     "asymptotic_schedule",
-    "vanishing_residual",
     "optimal_exact_schedule",
 ]
 
@@ -67,16 +67,26 @@ class OptimalParameters:
     n_blocks: float  # the K this was solved for; math.inf for the limit
 
 
-def _check_k(n_blocks) -> float:
+def _check_k(n_blocks, finite: bool = False) -> int | float:
+    """``n_blocks`` as an int >= 2, or math.inf unless ``finite``.
+
+    Integral floats are accepted; anything else, NaN and strings included,
+    raises BadKError.
+    """
     if n_blocks == math.inf:
+        if finite:
+            raise BadKError("block count must be finite here")
         return math.inf
-    k = n_blocks
-    if isinstance(k, float) and not k.is_integer():
-        raise BadKError(f"block count must be an integer or inf, got {k!r}")
-    k = int(k)
+    try:
+        k = operator.index(n_blocks)
+    except TypeError:
+        if not (isinstance(n_blocks, float) and n_blocks.is_integer()):
+            raise BadKError(
+                f"block count must be an integer, got {n_blocks!r}") from None
+        k = int(n_blocks)
     if k < 2:
         raise BadKError(f"need at least 2 blocks, got {k}")
-    return float(k)
+    return k
 
 
 def asymptotic_optimum(n_blocks) -> OptimalParameters:
@@ -85,7 +95,7 @@ def asymptotic_optimum(n_blocks) -> OptimalParameters:
     K = 2 gives alpha = pi/4, eta = pi/(2*sqrt(2)); the infinite-K limit
     gives alpha = pi/6, eta = sqrt(3)/2.  Raises BadKError below K = 2.
     """
-    k = _check_k(n_blocks)
+    k = float(_check_k(n_blocks))
     if k == math.inf:
         alpha = math.pi / 6
         eta = math.sqrt(3) / 2
@@ -148,33 +158,6 @@ def asymptotic_schedule(g: Geometry) -> Schedule:
     return Schedule(j1, j2, trailing_global=True)
 
 
-def vanishing_residual(g: Geometry, j1, j2) -> float:
-    """Signed residual of the closed-form condition for the amplitude
-    outside the target block to vanish after the trailing global.
-
-    Evaluated verbatim in its reference arrangement (left side minus the
-    four right-side terms).  Beware: at finite N that arrangement carries
-    a sign inconsistency in two cross terms relative to what the exact
-    dynamics implies, so its zero set only matches the simulator's zeros
-    asymptotically.  ``run_schedule`` is the ground truth; the test suite
-    reports the discrepancy rather than asserting it away.
-
-    ``j1`` and ``j2`` may be real: the residual extends smoothly and is
-    periodic in j2 with period pi/theta2.
-    """
-    n, k, b = g.n_items, g.n_blocks, g.block_size
-    phi = (2.0 * j1 + 1.0) * g.theta1
-    omega = 2.0 * j2 * g.theta2
-    lhs = -n / math.sqrt(n - 1) * (0.5 - 1.0 / k) * math.cos(phi)
-    rhs = (
-        math.cos(omega) * math.sin(phi)
-        + math.sqrt((b - 1) / (n - 1)) * math.sin(omega) * math.cos(phi)
-        - math.sqrt(b - 1) * math.sin(omega) * math.sin(phi)
-        + (b - 1) / math.sqrt(n - 1) * math.cos(omega) * math.cos(phi)
-    )
-    return lhs - rhs
-
-
 #: Half-width of the band around the threshold inside which the closed form
 #: cannot decide a candidate.  In units of 2**-52 the closed form is within
 #: 8 of the exact block success up to N = 2**53, and :func:`schedule_state`
@@ -212,10 +195,14 @@ def _first_feasible_j1(
         if start > cap + 1:
             break
         j1 = min(max(nxt, start), cap + 1)
-        while j1 > nxt and _closed_form_success(g, coeffs, j1 - 1) >= lo:
+        while j1 > nxt:
+            a = _outside_at(g, coeffs, j1 - 1)
+            if 1.0 - a * a < lo:
+                break
             j1 -= 1
         while j1 <= cap:
-            p = _closed_form_success(g, coeffs, j1)
+            a = _outside_at(g, coeffs, j1)
+            p = 1.0 - a * a
             if p >= hi or (p >= lo and block_success_probability(
                     schedule_state(g, Schedule(j1, j2)), g) >= threshold):
                 return j1
@@ -239,8 +226,8 @@ def optimal_exact_schedule(
     j1.  Raises InfeasibleError when no candidate in the box qualifies.
 
     No state is stepped: for each j2 the outside amplitude after the
-    trailing global is P*sin(phi) + Q*cos(phi) with phi = (2*j1+1)*theta1,
-    so the row's first adequate j1 comes from an arcsin (see
+    trailing global (:func:`outside_amplitude`) is a sinusoid in
+    phi = (2*j1+1)*theta1, so the row's first adequate j1 comes from an arcsin (see
     :func:`_first_feasible_j1`) at O(1) cost.  The closed form decides a
     candidate only when its p lies outside :data:`_BAND` of the threshold;
     inside it :func:`schedule_state` decides.  The row of the asymptotic

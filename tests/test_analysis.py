@@ -13,10 +13,12 @@ from pgsearch import (
     ComparisonRow,
     Schedule,
     apply_local,
+    asymptotic_expansion,
     asymptotic_optimum,
     asymptotic_schedule,
     comparison_table,
     effective_local_iterations,
+    eta_from_alpha,
     final_state_deviation,
     interrupted_probability,
     lower_bound_queries,
@@ -56,6 +58,27 @@ def test_coefficients_coincide_at_k2():
 @pytest.mark.parametrize("k", list(range(3, 50)) + [100, 1000, 10**4])
 def test_optimized_beats_random_pick_above_k2(k):
     assert partial_search_coefficient(k) < random_pick_coefficient(k)
+
+
+#: Every public function that takes a block count, called with K alone.
+K_TAKING = {
+    "asymptotic_optimum": asymptotic_optimum,
+    "eta_from_alpha": lambda k: eta_from_alpha(k, 0.5),
+    "asymptotic_expansion": asymptotic_expansion,
+    "random_pick_coefficient": random_pick_coefficient,
+    "partial_search_coefficient": partial_search_coefficient,
+    "interrupted_probability": interrupted_probability,
+    "effective_local_iterations": lambda k: effective_local_iterations(k, 16),
+    "comparison_table": lambda k: comparison_table(k, k),
+}
+
+
+@pytest.mark.parametrize("name", sorted(K_TAKING))
+@pytest.mark.parametrize("bad", [math.nan, "4", 3.5, 1, -math.inf], ids=repr)
+def test_bad_block_counts_raise_bad_k_everywhere(name, bad):
+    with pytest.raises(BadKError):
+        K_TAKING[name](bad)
+    assert K_TAKING[name](4.0) == K_TAKING[name](4)
 
 
 def test_coefficient_validation():

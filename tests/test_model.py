@@ -392,10 +392,9 @@ def test_schedule_state_matches_50_digit_reflections():
             amp_err, p_err = _state_errors(g, sch)
             assert amp_err <= STATE_TOL and p_err <= STATE_TOL, (n, g.n_blocks, sch)
             if sch.trailing_global and g.n_blocks >= 2:
-                coeffs = model._outside_coefficients(g, sch.j2)
-                closed = model._closed_form_success(g, coeffs, sch.j1)
+                a = model.outside_amplitude(g, sch.j1, sch.j2)
                 p = block_success_probability(schedule_state(g, sch), g)
-                assert abs(closed - p) <= _BAND
+                assert abs(1.0 - a * a - p) <= _BAND
     assert len(kinds) == 4  # K = N and no trailing global both occurred
     # the band covers both bounds: closed form 8*2**-52, this state STATE_TOL
     assert _BAND >= 8 * 2.0**-52 + STATE_TOL
@@ -411,6 +410,21 @@ def test_schedule_state_accuracy_up_to_2_53():
                        (g4, asymptotic_schedule(g4))):
             amp_err, p_err = _state_errors(g, sch)
             assert amp_err <= STATE_TOL and p_err <= STATE_TOL, (n, g.n_blocks, sch)
+
+
+def test_outside_amplitude_matches_schedule_state():
+    """2000 random in-box schedules, N = 2 .. 2**40: the closed form and
+    sqrt(N-b)*amp_nb of schedule_state agree within the closed form's own
+    8*2**-52 bound."""
+    rng = random.Random(11)
+    for e in range(1, 41):
+        for _ in range(50):
+            n = 2**e if e < 2 or rng.random() < 0.8 else 3 * 2 ** (e - 2)
+            g, sch = _random_schedule(rng, n)
+            s = schedule_state(g, Schedule(sch.j1, sch.j2))
+            outside = math.sqrt(n - g.block_size) * s.amp_nb
+            assert abs(model.outside_amplitude(g, sch.j1, sch.j2) - outside) <= (
+                8 * 2.0**-52), (n, g.n_blocks, sch)
 
 
 def test_schedule_state_takes_one_literal_step(monkeypatch):

@@ -20,11 +20,11 @@ from pgsearch import (
     eta_from_alpha,
     make_geometry,
     optimal_exact_schedule,
+    outside_amplitude,
     run_schedule,
     schedule_state,
     sv_reduce,
     sv_run_schedule,
-    vanishing_residual,
 )
 
 # stationary points, solved independently at high precision and rounded
@@ -198,39 +198,64 @@ def test_scheduled_j1_never_decreases_with_k():
 
 # ------------------------------------------------------- residual condition
 
+def _paper_residual(g, j1, j2):
+    """The paper's vanishing condition for the outside amplitude, verbatim:
+    left side minus the four right-side terms, for real j1 and j2.
+
+    At finite N two of its cross terms carry the wrong sign relative to the
+    dynamics, so its zero set matches the engine's only asymptotically.
+    The tests below pin that discrepancy; :func:`outside_amplitude` is the
+    exact form.
+    """
+    n, k, b = g.n_items, g.n_blocks, g.block_size
+    phi = (2.0 * j1 + 1.0) * g.theta1
+    omega = 2.0 * j2 * g.theta2
+    lhs = -n / math.sqrt(n - 1) * (0.5 - 1.0 / k) * math.cos(phi)
+    rhs = (
+        math.cos(omega) * math.sin(phi)
+        + math.sqrt((b - 1) / (n - 1)) * math.sin(omega) * math.cos(phi)
+        - math.sqrt(b - 1) * math.sin(omega) * math.sin(phi)
+        + (b - 1) / math.sqrt(n - 1) * math.cos(omega) * math.cos(phi)
+    )
+    return lhs - rhs
+
+
 def test_residual_at_rounded_optimum():
     g = make_geometry(1024, 4)
-    assert vanishing_residual(g, 10, 10) == pytest.approx(
+    assert _paper_residual(g, 10, 10) == pytest.approx(
         0.35505976901646896, rel=1e-12
     )
 
 
 def test_residual_formula_disagrees_with_engine_at_small_n():
-    """The closed-form vanishing condition misses an actual zero: with
-    N=4, K=2 and no iterations at all, the engine's outside amplitude is
-    exactly 0 while the residual sits at -1."""
+    """The paper's vanishing condition misses an actual zero: with N=4,
+    K=2 and no iterations at all, the engine's outside amplitude is exactly
+    0, and so is outside_amplitude, while the residual sits at -1."""
     g = make_geometry(4, 2)
     final = run_schedule(g, Schedule(0, 0, True))
     assert final.amp_nb == 0.0
-    assert vanishing_residual(g, 0, 0) == pytest.approx(-1.0, abs=1e-12)
+    assert outside_amplitude(g, 0, 0) == 0.0
+    assert _paper_residual(g, 0, 0) == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_residual_near_engine_zero_is_reported_not_zero():
     # engine zero of amp_nb along j2 at N=1024, K=4, j1=0 sits near j2=24;
     # the closed form evaluates visibly non-zero there
     g = make_geometry(1024, 4)
-    got = vanishing_residual(g, 0, 24)
+    got = _paper_residual(g, 0, 24)
     assert got == pytest.approx(-0.07786630282667506, rel=1e-9)
     assert abs(got) > 0.01
+    assert abs(outside_amplitude(g, 0, 24)) < 1e-4
 
 
 def test_residual_periodic_in_j2():
     g = make_geometry(1024, 4)
     period = math.pi / g.theta2
     for j1, j2 in [(0, 3), (7, 11.5), (20, 0.25)]:
-        a = vanishing_residual(g, j1, j2)
-        b = vanishing_residual(g, j1, j2 + period)
-        assert b == pytest.approx(a, rel=1e-9, abs=1e-12)
+        for form in (_paper_residual, outside_amplitude):
+            a = form(g, j1, j2)
+            b = form(g, j1, j2 + period)
+            assert b == pytest.approx(a, rel=1e-9, abs=1e-12)
 
 
 # ------------------------------------------------------------ exact search
@@ -397,7 +422,7 @@ def test_exact_schedule_evaluation_count_is_bounded(monkeypatch):
     """Each j2 row costs one (P, Q) and a handful of closed-form candidates;
     scanning the box, or stepping states through it, would take thousands."""
     counts = _count_calls(monkeypatch, pgsearch.optimizer, (
-        "_outside_coefficients", "_closed_form_success", "schedule_state"))
+        "_outside_coefficients", "_outside_at", "schedule_state"))
     g = make_geometry(4096, 4)
     j1_max = math.ceil(math.pi * math.sqrt(g.n_items) / 4.0)
     j2_max = math.ceil(math.pi * math.sqrt(g.block_size) / 2.0)
@@ -405,7 +430,7 @@ def test_exact_schedule_evaluation_count_is_bounded(monkeypatch):
     assert optimal_exact_schedule(g, 0.99) == Schedule(22, 14)
     rows = counts["_outside_coefficients"]
     assert 0 < rows <= j2_max + 2
-    assert counts["_closed_form_success"] + counts["schedule_state"] <= 3 * rows
+    assert counts["_outside_at"] + counts["schedule_state"] <= 3 * rows
     assert counts["schedule_state"] == 0
 
 
@@ -445,13 +470,13 @@ def test_rows_skip_only_surely_infeasible_candidates(n, k, threshold, monkeypatc
     j1_max = math.ceil(math.pi * math.sqrt(n) / 4.0)
     j2_max = math.ceil(math.pi * math.sqrt(g.block_size) / 2.0)
     evaluated = set()
-    closed_form = pgsearch.optimizer._closed_form_success
+    outside_at = pgsearch.optimizer._outside_at
 
     def recording(g_, coeffs, j1):
         evaluated.add(j1)
-        return closed_form(g_, coeffs, j1)
+        return outside_at(g_, coeffs, j1)
 
-    monkeypatch.setattr(pgsearch.optimizer, "_closed_form_success", recording)
+    monkeypatch.setattr(pgsearch.optimizer, "_outside_at", recording)
     for j2 in range(j2_max + 1):
         evaluated.clear()
         got = pgsearch.optimizer._first_feasible_j1(g, j2, j1_max, threshold)
@@ -461,16 +486,29 @@ def test_rows_skip_only_surely_infeasible_candidates(n, k, threshold, monkeypatc
             >= threshold
         ]
         assert got == (feasible[0] if feasible else None)
-        coeffs = pgsearch.model._outside_coefficients(g, j2)
         low = threshold - pgsearch.optimizer._BAND
         skipped = set(range(j1_max + 1 if got is None else got)) - evaluated
-        assert all(closed_form(g, coeffs, j1) < low for j1 in skipped)
+        assert all(_closed_form_success(g, j1, j2) < low for j1 in skipped)
+
+
+def _closed_form_success(g, j1, j2):
+    """Block success the optimizer's closed form gives candidate (j1, j2)."""
+    a = outside_amplitude(g, j1, j2)
+    return 1.0 - a * a
 
 
 def _mp_block_success(n, k, j1, j2, iterate):
-    """Block success of schedule (j1, j2) at 50 digits, in the orthonormal
-    class basis: by applying every reflection (``iterate``), or by the
-    rotation angles."""
+    """Block success of schedule (j1, j2) at 50 digits (see
+    :func:`_mp_outside_amplitude`)."""
+    with mpmath.workdps(50):
+        return 1 - _mp_outside_amplitude(n, k, j1, j2, iterate) ** 2
+
+
+def _mp_outside_amplitude(n, k, j1, j2, iterate):
+    """Signed outside amplitude sqrt(N-b)*amp_nb of schedule (j1, j2) after
+    its trailing global, at 50 digits, in the orthonormal class basis: by
+    applying every reflection (``iterate``), or by the rotation angles,
+    which also take real j1 and j2."""
     with mpmath.workdps(50):
         n_, b = mpmath.mpf(n), mpmath.mpf(n // k)
         u = [1 / mpmath.sqrt(n_), mpmath.sqrt((b - 1) / n_),
@@ -497,8 +535,7 @@ def _mp_block_success(n, k, j1, j2, iterate):
             v = [mpmath.cos(omega) * x0 + mpmath.sin(omega) * x1,
                  mpmath.cos(omega) * x1 - mpmath.sin(omega) * x0,
                  mpmath.cos(phi) * mpmath.sqrt(n_ - b) / w]
-        v = reflect(v, u)
-        return 1 - v[2] ** 2
+        return reflect(v, u)[2]
 
 
 def _random_schedules(seed, exponents, count):
@@ -520,8 +557,7 @@ def test_closed_form_matches_50_digit_iteration():
         g = make_geometry(n, k)
         exact = _mp_block_success(n, k, j1, j2, iterate=True)
         assert abs(_mp_block_success(n, k, j1, j2, iterate=False) - exact) < 1e-40
-        closed = pgsearch.model._closed_form_success(
-            g, pgsearch.model._outside_coefficients(g, j2), j1)
+        closed = _closed_form_success(g, j1, j2)
         assert abs(closed - exact) <= 8 * 2.0**-52
         q = j1 + j2 + 1
         iterated = block_success_probability(run_schedule(g, Schedule(j1, j2)), g)
@@ -547,12 +583,18 @@ def test_run_schedule_drift_stays_within_band(n, k):
 
 
 def test_closed_form_accuracy_up_to_2_53():
+    """Block success at integer counts, and outside_amplitude at real ones,
+    within 8*2**-52 of the 50-digit rotation picture."""
+    rng = random.Random(3)
     for n, k, j1, j2 in _random_schedules(2, range(14, 54, 3), 6):
         g = make_geometry(n, k)
         exact = _mp_block_success(n, k, j1, j2, iterate=False)
-        closed = pgsearch.model._closed_form_success(
-            g, pgsearch.model._outside_coefficients(g, j2), j1)
+        closed = _closed_form_success(g, j1, j2)
         assert abs(closed - exact) <= 8 * 2.0**-52, (n, k, j1, j2)
+        x1, x2 = j1 * rng.random(), j2 * rng.random() + rng.random()
+        exact = _mp_outside_amplitude(n, k, x1, x2, iterate=False)
+        assert abs(outside_amplitude(g, x1, x2) - exact) <= 8 * 2.0**-52, (
+            n, k, x1, x2)
 
 
 def test_exact_schedule_is_fast_at_large_n():
