@@ -24,6 +24,7 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import sys
@@ -101,26 +102,43 @@ def _int_at_least(lo: int):
     return parse
 
 
-def _cell(value, exact: bool) -> str:
-    """One report cell: floats as repr() when exact, else 6 significant digits."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value) if exact else format(value, ".6g")
-    return str(value)
-
+#: The format() spec of a text cell, by value type: 6 significant digits
+#: for floats, str() for ints and strings.
+_TEXT_SPECS = {float: ".6g", int: "", str: ""}
 
 #: Encodes a list of flat dicts in one pass of the C encoder, with every
 #: member on a line of its own; _render re-indents the list level.
 _RECORDS_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n    ", ": "))
 
+#: Encodes a flat dict or list the same way; _json indents it.
+_FLAT_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n", ": "))
+
+
+def _json(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, whose indenting
+    encoder is pure Python: here each dict or list of scalars is one C
+    encoder call, re-indented, and only the levels above it recurse."""
+    if not (isinstance(value, (dict, list)) and value):
+        return _FLAT_ENCODER.encode(value)
+    inner, brackets = indent + "  ", "{}" if isinstance(value, dict) else "[]"
+    members = value.values() if isinstance(value, dict) else value
+    if not any(isinstance(v, (dict, list)) and v for v in members):
+        body = _FLAT_ENCODER.encode(value)[1:-1].replace("\n", "\n" + inner)
+    elif isinstance(value, dict):  # str keys
+        body = f",\n{inner}".join(f"{_FLAT_ENCODER.encode(k)}: {_json(v, inner)}"
+                                  for k, v in sorted(value.items()))
+    else:
+        body = f",\n{inner}".join(_json(v, inner) for v in value)
+    return f"{brackets[0]}\n{inner}{body}\n{indent}{brackets[1]}"
+
 
 def _render(fmt: str, header: list[str], rows, doc, transpose=False) -> str:
     """Render a report: ``doc`` as JSON, or ``rows`` as a CSV or text table.
 
-    ``rows`` hold the values of each table row in ``header`` order.  A list
-    ``doc`` holds one flat dict per row.  With ``transpose`` the text form
-    prints one ``name  value`` line per column, for single-row reports.
+    ``rows`` hold the bools, ints, floats and strings of each table row in
+    ``header`` order.  A list ``doc`` holds one flat dict per row.  With
+    ``transpose`` the text form prints one ``name  value`` line per column,
+    for single-row reports.  Cells are made by C-level maps, not per cell.
     """
     if fmt == "json":
         if isinstance(doc, list):
@@ -130,20 +148,27 @@ def _render(fmt: str, header: list[str], rows, doc, transpose=False) -> str:
             body = _RECORDS_ENCODER.encode(doc)[2:-2]
             body = body.replace("},\n    {", "\n  },\n  {\n    ")
             return "[\n  {\n    " + body + "\n  }\n]\n"
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if fmt == "csv":
+        return _json(doc) + "\n"
+    # Cells row after row, regrouped into rows by zip(*[iter(values)] * width);
+    # `del values` frees them before the report text is copied.
+    values, width = list(itertools.chain.from_iterable(rows)), len(header)
+    if bool in set(map(type, values)):
+        values = [("true" if v else "false") if type(v) is bool else v for v in values]
+    if fmt == "csv":  # csv.writer writes ints and strings by str(), floats by repr()
         sink = io.StringIO()
         writer = csv.writer(sink, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows([_cell(v, True) for v in row] for row in rows)
+        writer.writerows(zip(*[iter(values)] * width))
+        del values
         return sink.getvalue()
-    cells = [[_cell(v, False) for v in row] for row in rows]
-    lines = list(zip(header, *cells)) if transpose else [header, *cells]
-    widths = [max(len(cell) for cell in column) for column in zip(*lines)]
-    return "".join(
-        "  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip() + "\n"
-        for line in lines
-    )
+    values = list(map(format, values, map(_TEXT_SPECS.get, map(type, values))))
+    if transpose:
+        columns = [header, *zip(*[iter(values)] * width)]
+    else:
+        columns = [[name, *values[i::width]] for i, name in enumerate(header)]
+    del values
+    template = "  ".join([f"{{:<{max(map(len, column))}}}" for column in columns])
+    return "\n".join(map(str.rstrip, map(template.format, *columns))) + "\n"
 
 
 def cmd_optimize(args) -> str:

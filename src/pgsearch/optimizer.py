@@ -30,6 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 from .errors import BadKError, InfeasibleError
@@ -70,8 +71,8 @@ class OptimalParameters:
 def _check_k(n_blocks, finite: bool = False) -> int | float:
     """``n_blocks`` as an int >= 2, or math.inf unless ``finite``.
 
-    Integral floats are accepted; anything else, NaN and strings included,
-    raises BadKError.
+    Integral floats are accepted; anything else, NaN, strings and ints
+    beyond the float range included, raises BadKError.
     """
     if n_blocks == math.inf:
         if finite:
@@ -86,6 +87,8 @@ def _check_k(n_blocks, finite: bool = False) -> int | float:
         k = int(n_blocks)
     if k < 2:
         raise BadKError(f"need at least 2 blocks, got {k}")
+    if k > sys.float_info.max:
+        raise BadKError("block count beyond the float range")
     return k
 
 

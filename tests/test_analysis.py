@@ -74,7 +74,8 @@ K_TAKING = {
 
 
 @pytest.mark.parametrize("name", sorted(K_TAKING))
-@pytest.mark.parametrize("bad", [math.nan, "4", 3.5, 1, -math.inf], ids=repr)
+@pytest.mark.parametrize("bad", [math.nan, "4", 3.5, 1, -math.inf,
+                                 pytest.param(10**400, id="10**400")], ids=repr)
 def test_bad_block_counts_raise_bad_k_everywhere(name, bad):
     with pytest.raises(BadKError):
         K_TAKING[name](bad)

@@ -156,6 +156,100 @@ def test_parse_k_spec_returns_ints_or_refuses(spec):
         float(v)  # counts beyond the float range are refused
 
 
+# ---------------------------------------------------------------- renderer
+
+def _reference_cell(value, exact: bool) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value) if exact else format(value, ".6g")
+    return str(value)
+
+
+def _reference_render(fmt, header, rows, doc, transpose=False) -> str:
+    """The per-cell report renderer that cli._render must match byte for
+    byte: a call and an ljust per cell, and json.dumps for every JSON doc."""
+    if fmt == "json":
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    if fmt == "csv":
+        sink = io.StringIO()
+        writer = csv.writer(sink, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_reference_cell(v, True) for v in row] for row in rows)
+        return sink.getvalue()
+    cells = [[_reference_cell(v, False) for v in row] for row in rows]
+    lines = list(zip(header, *cells)) if transpose else [header, *cells]
+    widths = [max(len(cell) for cell in column) for column in zip(*lines)]
+    return "".join(
+        "  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip() + "\n"
+        for line in lines
+    )
+
+
+_EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e16, 1e-5, 5e-324,
+                0.1, 123456.5, 1234567.0]
+_SCALARS = st.one_of(
+    st.booleans(),
+    st.integers(-10**30, 10**30),
+    st.floats(),
+    st.sampled_from(_EDGE_FLOATS),
+    st.text(max_size=10),
+    st.sampled_from(["", " ", "a,b", 'say "hi"', "two\nlines", "cr\r", "caf\u00e9",
+                     "\u65e5\u672c", "tab\t", "trailing  ", "{0}", "}{"]),
+)
+
+
+@st.composite
+def _tables(draw):
+    header = draw(st.lists(st.text(max_size=6), min_size=1, max_size=6))
+    rows = draw(st.lists(st.lists(_SCALARS, min_size=len(header),
+                                  max_size=len(header)), max_size=6))
+    return header, rows
+
+
+@settings(max_examples=250, deadline=None)
+@given(_tables(), st.sampled_from(["text", "csv"]), st.booleans())
+def test_render_matches_per_cell_reference(table, fmt, transpose):
+    header, rows = table
+    expected = _reference_render(fmt, header, rows, None, transpose)
+    assert cli._render(fmt, header, rows, None, transpose) == expected
+    rows = (tuple(row) for row in rows)  # compare passes a generator
+    assert cli._render(fmt, header, rows, None, transpose) == expected
+
+
+_JSON_SCALARS = st.one_of(st.none(), _SCALARS)
+_JSON_KEYS = st.one_of(st.text(max_size=6),
+                       st.sampled_from(["k", "n", "a,b", 'q"', "\n", "\u00e9"]))
+_FLAT = st.one_of(st.dictionaries(_JSON_KEYS, _JSON_SCALARS, max_size=5),
+                  st.lists(_JSON_SCALARS, max_size=4))
+_DOCS = st.dictionaries(_JSON_KEYS, st.one_of(
+    _JSON_SCALARS, _FLAT, st.lists(_FLAT, max_size=3),
+    st.dictionaries(_JSON_KEYS, _FLAT, max_size=3),
+), max_size=6)
+
+
+@settings(max_examples=250, deadline=None)
+@given(_DOCS)
+def test_render_json_dicts_match_json_dumps(doc):
+    assert cli._render("json", [], [], doc) == _reference_render("json", [], [], doc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.dictionaries(_JSON_KEYS, _JSON_SCALARS, min_size=1, max_size=6),
+                min_size=1, max_size=5))
+def test_render_json_records_match_json_dumps(doc):
+    assert cli._render("json", [], [], doc) == _reference_render("json", [], [], doc)
+
+
+def test_render_json_shapes_the_cli_builds():
+    for doc in ({"n": 16, "k": 4, "schedules": [], "bounds": {}},
+                {"n": 16, "k": 4, "schedules": [{"mode": "exact", "j1": 1,
+                 "trailing_global": True, "block_success": 0.5}], "threshold": 0.9},
+                {"a": [[], {}, [1.5, {"b": math.nan}]], "c": -0.0},
+                {}):
+        assert cli._render("json", [], [], doc) == _reference_render("json", [], [], doc)
+
+
 # ---------------------------------------------------------------- optimize
 
 def test_optimize_text_single_k(capsys):
