@@ -28,7 +28,8 @@ __version__ = "0.1.0"
 
 #: ``statevector.__all__``, listed here so that naming them imports nothing.
 _STATEVECTOR_ALL = (
-    "DEFAULT_AMPLITUDE_CAP", "PGSV_MAGIC", "PGSV_VERSION", "FullState",
+    "DEFAULT_AMPLITUDE_CAP", "AMPLITUDE_QUERY_CAP", "PGSV_MAGIC", "PGSV_VERSION",
+    "FullState",
     "sv_uniform", "sv_run_schedule", "sv_reduce", "measure_block_distribution",
     "save_state", "load_state",
 )

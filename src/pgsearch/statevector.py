@@ -3,13 +3,20 @@
 Everything here works on the complete amplitude vector, so memory is the
 limiting factor: the default cap is 2**24 amplitudes (128 MiB as float64).
 A global and a local iteration are the same literal reflection, applied in
-place to the one amplitude buffer with a single pass per oracle query:
+place to the one amplitude buffer, once per oracle query:
 
     a[t] -> -a[t],   then   a -> 2*block_mean(a) - a   (per block)
 
 The global iteration has one block of width N, the local one has K blocks
-of width b.  Reductions use numpy's pairwise summation, so results are
-bit-reproducible run to run.
+of width b.  The work goes tile by tile, 2**16 amplitudes (512 KiB) at a
+time, so that it runs in L2 cache: a tile of whole blocks takes all the
+queries of a phase at once, and a block wider than a tile is cut at the
+nodes of numpy's pairwise-summation tree, so that each query streams the
+state once and the segment sums are added up the same tree.  The result
+is bit-identical to reflecting the whole state per query, because numpy
+sums each row of a 2-D array as it sums that row alone, and splits a
+contiguous sum at those nodes; both facts are tested.  Results are
+therefore bit-reproducible run to run.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from .model import Geometry, ReducedState, Schedule, make_geometry
 
 __all__ = [
     "DEFAULT_AMPLITUDE_CAP",
+    "AMPLITUDE_QUERY_CAP",
     "PGSV_MAGIC",
     "PGSV_VERSION",
     "FullState",
@@ -39,8 +47,13 @@ __all__ = [
 #: Default limit on the number of amplitudes a full state may hold.
 DEFAULT_AMPLITUDE_CAP = 1 << 24
 
-#: Amplitudes :func:`measure_block_distribution` squares at a time (1 MiB).
-_CHUNK_ITEMS = 1 << 17
+#: Limit on the work of one run, N times the schedule's queries.  Every
+#: schedule :func:`~pgsearch.optimal_exact_schedule` can return for
+#: N <= 2**24 fits (the largest, K = 2 at N = 2**24, needs about 1.3e11).
+AMPLITUDE_QUERY_CAP = 1 << 37
+
+#: Amplitudes worked on at a time (512 KiB), small enough to stay in L2.
+_TILE = 1 << 16
 
 PGSV_MAGIC = b"PGSV"
 PGSV_VERSION = 1
@@ -82,13 +95,53 @@ def sv_uniform(
     return FullState(amps, target_index, g)
 
 
-def _iterate(amps: np.ndarray, target_index: int, width: int) -> None:
-    """One oracle query in place: flip the target, then reflect every
-    ``width``-wide block about its mean (``width = n_items`` is the global
-    iteration, ``width = block_size`` the local one)."""
-    amps[target_index] = -amps[target_index]
+def _sweep(seg: np.ndarray, m: float | None, t: int) -> float:
+    """Reflect ``seg`` about ``m`` (unless None), flip its item ``t`` if it
+    has one, and return its sum, leaf by leaf of at most ``_TILE`` items:
+    the leaves are cut and added as numpy's pairwise summation cuts and
+    adds them, so the sum is bit-identical to ``np.add.reduce(seg)``."""
+    n = seg.size
+    if n > _TILE:
+        half = n // 2 - (n // 2) % 8
+        return _sweep(seg[:half], m, t) + _sweep(seg[half:], m, t - half)
+    if m is not None:
+        np.subtract(m, seg, out=seg)
+    if 0 <= t < n:
+        seg[t] = -seg[t]
+    return float(np.add.reduce(seg))
+
+
+def _phase(amps: np.ndarray, target_index: int, width: int, count: int) -> None:
+    """``count`` oracle queries in place, each flipping the target and then
+    reflecting every ``width``-wide row about its mean (``width = n_items``
+    is the global iteration, ``width = block_size`` the local one)."""
+    if count == 0:
+        return
+    if width <= _TILE:
+        # rows are independent, so a tile of whole rows takes every query
+        # of the phase while it stays in cache
+        step = _TILE - _TILE % width
+        for lo in range(0, amps.size, step):
+            tile = amps[lo : lo + step]
+            rows = tile.reshape(-1, width)
+            t = target_index - lo
+            for _ in range(count):
+                if 0 <= t < tile.size:
+                    tile[t] = -tile[t]
+                m = np.add.reduce(rows, axis=1, keepdims=True)
+                m /= width
+                m *= 2.0
+                np.subtract(m, rows, out=rows)
+        return
+    # wider rows: each query is one pass that reflects a leaf, flips the
+    # target for the next query and sums the leaf while it is in cache
     rows = amps.reshape(-1, width)
-    np.subtract(2.0 * rows.mean(axis=1, keepdims=True), rows, out=rows)
+    offsets = range(target_index, target_index - amps.size, -width)
+    sums = [_sweep(row, None, t) for row, t in zip(rows, offsets)]
+    for _ in range(count - 1):
+        sums = [_sweep(row, s / width * 2.0, t) for row, s, t in zip(rows, sums, offsets)]
+    for row, s in zip(rows, sums):
+        np.subtract(s / width * 2.0, row, out=row)
 
 
 def sv_run_schedule(
@@ -97,14 +150,20 @@ def sv_run_schedule(
     schedule: Schedule,
     cap: int | None = None,
 ) -> FullState:
-    """Run the schedule on the uniform state, mirroring ``run_schedule``."""
+    """Run the schedule on the uniform state, mirroring ``run_schedule``.
+
+    Raises CapExceededError, before allocating anything, when N times the
+    schedule's queries exceeds AMPLITUDE_QUERY_CAP.
+    """
+    work = g.n_items * schedule.queries
+    if work > AMPLITUDE_QUERY_CAP:
+        raise CapExceededError(
+            f"{work} amplitude-queries exceed the cap of {AMPLITUDE_QUERY_CAP}"
+        )
     state = sv_uniform(g, target_index, cap)
-    for _ in range(schedule.j1):
-        _iterate(state.amplitudes, target_index, g.n_items)
-    for _ in range(schedule.j2):
-        _iterate(state.amplitudes, target_index, g.block_size)
-    if schedule.trailing_global:
-        _iterate(state.amplitudes, target_index, g.n_items)
+    _phase(state.amplitudes, target_index, g.n_items, schedule.j1)
+    _phase(state.amplitudes, target_index, g.block_size, schedule.j2)
+    _phase(state.amplitudes, target_index, g.n_items, int(schedule.trailing_global))
     return state
 
 
@@ -137,9 +196,9 @@ def measure_block_distribution(state: FullState) -> np.ndarray:
     """Probability of measuring each block: squared norms per block."""
     g = state.geometry
     blocks = state.amplitudes.reshape(g.n_blocks, g.block_size)
-    # Square whole rows about 1 MiB at a time instead of the whole state at
+    # Square whole rows a tile at a time instead of the whole state at
     # once; each row's sum is unchanged, so the result is bit-identical.
-    step = max(1, _CHUNK_ITEMS // g.block_size)
+    step = max(1, _TILE // g.block_size)
     probs = np.empty(g.n_blocks)
     for i in range(0, g.n_blocks, step):
         rows = blocks[i : i + step]

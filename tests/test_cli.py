@@ -454,6 +454,23 @@ def test_simulate_state_cap_override(capsys):
     assert code == 4
 
 
+def test_simulate_full_refuses_work_beyond_cap(tmp_path, capsys):
+    # 16 amplitudes times 10**12 queries: stepping them would never end
+    out_file = tmp_path / "state.pgsv"
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        ["simulate", "--engine", "full", "--n", "16", "--k", "4",
+         "--j1", "1000000000000", "--emit-state", str(out_file)],
+        capsys,
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 4
+    assert out == ""
+    assert err.splitlines()[-1] == (
+        "error: 16000000000016 amplitude-queries exceed the cap of 137438953472")
+    assert not out_file.exists()
+
+
 def test_simulate_emit_state_requires_full_engine(tmp_path, capsys):
     out_file = tmp_path / "state.pgsv"
     code, _, err = run_cli(

@@ -1,13 +1,17 @@
 """Full-array simulator tests, including the cross-check against the
 reduced engine and the on-disk snapshot format."""
 
+import math
+import random
 import struct
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies
 
 from pgsearch import (
+    AMPLITUDE_QUERY_CAP,
     BadIndexError,
     BadStateFileError,
     CapExceededError,
@@ -25,6 +29,9 @@ from pgsearch import (
     sv_uniform,
     uniform_state,
 )
+from pgsearch.statevector import _TILE, _sweep
+
+from test_model import _mp_final_state, _random_schedule
 
 
 def test_sv_uniform_small():
@@ -95,12 +102,101 @@ def _reference_run(g, target, schedule):
         (1155, 3, 1154, Schedule(9, 9, False)),
         (1024, 4, 300, Schedule(13, 5, True)),
         (4096, 16, 0, Schedule(12, 3, True)),
+        # N above the tile with b below it, at it and above it
+        (2**18, 8, 70000, Schedule(3, 4, True)),
+        (2**17, 2, 2**16, Schedule(2, 5, True)),
+        (2**18, 2, 100, Schedule(4, 3, True)),
+        # non-power-of-two N: tiles of whole rows that do not fill 2**16
+        # (b = 12500) and rows cut into uneven leaves (b = 65537, 200003)
+        (200000, 16, 199999, Schedule(3, 6, True)),
+        (3 * 65537, 3, 131074, Schedule(2, 4, False)),
+        (200003, 1, 123456, Schedule(5, 0, True)),
+        # the target in the last tile, and phases of zero queries
+        (2**18, 2**6, 2**18 - 1, Schedule(0, 7, True)),
+        (2**18, 2, 2**18 - 1, Schedule(0, 3, False)),
+        (2**17, 4, 5, Schedule(4, 0, False)),
+        (2**17, 4, 5, Schedule(0, 0, False)),
     ],
 )
 def test_run_schedule_bit_identical_to_copy_per_step_reference(n, k, target, sch):
     g = make_geometry(n, k)
     got = sv_run_schedule(g, target, sch).amplitudes
     assert np.array_equal(got, _reference_run(g, target, sch))
+
+
+@settings(max_examples=25, deadline=None)
+@given(k=strategies.integers(1, 6), b=strategies.integers(1, 3 * _TILE),
+       data=strategies.data(), j1=strategies.integers(0, 3),
+       j2=strategies.integers(0, 3), trailing=strategies.booleans())
+def test_run_schedule_bit_identical_on_random_geometries(k, b, data, j1, j2, trailing):
+    assume(k * b >= 2)
+    g = make_geometry(k * b, k)
+    target = data.draw(strategies.integers(0, g.n_items - 1))
+    sch = Schedule(j1, j2, trailing)
+    got = sv_run_schedule(g, target, sch).amplitudes
+    assert np.array_equal(got, _reference_run(g, target, sch))
+
+
+def test_numpy_sums_split_at_the_pairwise_tree_nodes():
+    """The facts the tiled engine rests on.  A contiguous float64 sum of
+    more than 128 items is the sum of its halves cut at
+    n//2 - (n//2) % 8, so ``_sweep``, which sums leaf by leaf, agrees
+    bit-for-bit with numpy's whole sum.  And each row of a 2-D array sums
+    as that row alone, whatever the row count.  A numpy that changes
+    either would change the engine's output bytes."""
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=2**20 + 9)
+    lengths = [*range(1, 300), *(2**e + d for e in range(8, 21) for d in (-1, 0, 1)),
+               *rng.integers(129, 3 * 10**5, size=150).tolist(),
+               *rng.integers(_TILE, 2**20, size=30).tolist()]
+    for n in lengths:
+        whole = np.add.reduce(a[:n])
+        if n > 128:
+            half = n // 2 - (n // 2) % 8
+            assert whole == np.add.reduce(a[:half]) + np.add.reduce(a[half:n]), n
+        assert _sweep(a[:n], None, -1) == whole, n
+    for rows, width in [(1, 7), (3, 129), (64, 1000), (9, _TILE), (5, _TILE + 8),
+                        (2, 3 * 10**5), (1, 2**20)]:
+        x = a[: rows * width].reshape(rows, width)
+        by_row = [np.add.reduce(row) for row in x]
+        for r in range(1, rows + 1):
+            assert np.add.reduce(x[:r], axis=1).tolist() == by_row[:r], (r, width)
+
+
+def test_full_run_matches_50_digit_reflections():
+    """144 random schedules, N <= 2**12, K = 1..N: every class amplitude of
+    the full engine lies within 2*(queries+1)*2**-52 of the 50-digit
+    reflections (the largest seen is a fifth of that), and the coherence
+    residual stays at roundoff (it reads 0 here: the members of a class go
+    through the same float operations)."""
+    rng = random.Random(12)
+    for e in range(1, 13):
+        for _ in range(12):
+            n = 2**e if e < 2 or rng.random() < 0.8 else 3 * 2 ** (e - 2)
+            g, sch = _random_schedule(rng, n)
+            reduced, residual = sv_reduce(sv_run_schedule(g, rng.randrange(n), sch))
+            exact, _ = _mp_final_state(n, g.n_blocks, sch)
+            bound = 2 * (sch.queries + 1) * 2.0**-52
+            # an empty class (b = 1 or K = 1) reads 0 in sv_reduce
+            sizes = (1, g.block_size - 1, n - g.block_size)
+            got = (reduced.amp_target, reduced.amp_ntt, reduced.amp_nb)
+            for size, want, amp in zip(sizes, exact, got):
+                if size:
+                    assert abs(float(want - amp)) <= bound, (n, g.n_blocks, sch)
+            assert residual <= (sch.queries + 1) * 2.0**-52
+
+
+def test_work_cap_covers_the_exact_search_box():
+    """The largest schedule the exact search can return at the default
+    state cap, K = 2 at N = 2**24, fits under the work cap."""
+    n = 2**24
+    for k in (2, 4, 64, n):
+        j1 = math.ceil(math.pi * math.sqrt(n) / 4.0)
+        j2 = math.ceil(math.pi * math.sqrt(n // k) / 2.0)
+        assert n * (j1 + j2 + 1) <= AMPLITUDE_QUERY_CAP
+    g = make_geometry(16, 4)
+    with pytest.raises(CapExceededError, match="amplitude-queries"):
+        sv_run_schedule(g, 0, Schedule(AMPLITUDE_QUERY_CAP // 16, 0, True))
 
 
 def test_sv_run_schedule_n4_single_global():
