@@ -252,16 +252,37 @@ def _contiguous_runs(ks: list[int | float]) -> list[list[int]]:
     return runs
 
 
+#: One compare row as json.dumps(rows, indent=2, sort_keys=True) writes it,
+#: keys in sorted order: ints and (always finite) floats by repr, as the C
+#: encoder writes them, and the note already encoded.
+_COMPARE_RECORD = ('  {\n    "c": %r,\n    "k": %r,\n    "note": %s,\n'
+                   '    "p_interrupted": %r,\n    "r_coeff": %r,\n    "s_coeff": %r\n  }')
+
+
+def _compare_json(tables) -> str:
+    """The compare report as a JSON list of one dict per row, formatted
+    straight from each table's row tuples, a slice of rows at a time."""
+    parts = []
+    for table in tables:
+        k, s, r, p, c, note = zip(*table)
+        records = map(_COMPARE_RECORD.__mod__,
+                      zip(c, k, map(json.encoder.encode_basestring_ascii, note), p, r, s))
+        while piece := ",\n".join(itertools.islice(records, 4096)):
+            parts += (",\n", piece)
+    parts[0] = "[\n"  # in place of the first separator
+    parts.append("\n]\n")
+    return "".join(parts)
+
+
 def cmd_compare(args) -> str:
     runs = _contiguous_runs(args.k)  # refuses a bad spec before any row is built
-    # Rows are built as the report consumes them, so each run's table is
+    # Tables are built as the report consumes them, so each run's table is
     # freed before the text is assembled.
-    rows = (row for lo, hi in runs for row in comparison_table(lo, hi))
-    doc = [{"k": k, "s_coeff": s, "r_coeff": r, "p_interrupted": p, "c": c,
-            "note": note} for k, s, r, p, c, note in rows
-           ] if args.format == "json" else None
+    tables = (comparison_table(lo, hi) for lo, hi in runs)
+    if args.format == "json":
+        return _compare_json(tables)
     header = ["K", "s_coeff", "r_coeff", "p_interrupted", "c", "note"]
-    return _render(args.format, header, rows, doc)
+    return _render(args.format, header, itertools.chain.from_iterable(tables), None)
 
 
 def cmd_bound(args) -> str:

@@ -11,18 +11,34 @@ The global iteration has one block of width N, the local one has K blocks
 of width b.  The work goes tile by tile, 2**16 amplitudes (512 KiB) at a
 time, so that it runs in L2 cache: a tile of whole blocks takes all the
 queries of a phase at once, and a block wider than a tile is cut at the
-nodes of numpy's pairwise-summation tree, so that each query streams the
-state once and the segment sums are added up the same tree.  The result
-is bit-identical to reflecting the whole state per query, because numpy
-sums each row of a 2-D array as it sums that row alone, and splits a
-contiguous sum at those nodes; both facts are tested.  Results are
-therefore bit-reproducible run to run.
+nodes of numpy's pairwise-summation tree into leaves, so that each query
+streams the state once and the leaf sums are added up the same tree.
+
+The work is split across one thread per CPU the process may run on
+(``os.sched_getaffinity``; ``taskset`` narrows it), the calling thread
+included.  Tiles, and blocks wider than a tile, are independent for a
+whole phase, so each is one item, taken by whichever thread is free next.
+When there are fewer wide blocks than threads (the global phase), the
+threads take each query's leaves the same way and the calling thread adds
+the leaf sums up the tree.  numpy releases the GIL inside its loops over
+arrays this large.  A state of one tile stays on the calling thread, and
+no thread is started until a phase is split.
+
+The result is bit-identical to reflecting the whole state per query,
+however the work is split, because each tile and each leaf goes through
+the same numpy calls on the same values: numpy sums each row of a 2-D
+array as it sums that row alone, sums fewer than 8 items left to right,
+and splits a contiguous sum at those nodes; all three facts are tested.
+Results are therefore bit-reproducible run to run.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
+import queue
 import struct
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,20 +111,150 @@ def sv_uniform(
     return FullState(amps, target_index, g)
 
 
-def _sweep(seg: np.ndarray, m: float | None, t: int) -> float:
-    """Reflect ``seg`` about ``m`` (unless None), flip its item ``t`` if it
-    has one, and return its sum, leaf by leaf of at most ``_TILE`` items:
-    the leaves are cut and added as numpy's pairwise summation cuts and
-    adds them, so the sum is bit-identical to ``np.add.reduce(seg)``."""
-    n = seg.size
-    if n > _TILE:
-        half = n // 2 - (n // 2) % 8
-        return _sweep(seg[:half], m, t) + _sweep(seg[half:], m, t - half)
-    if m is not None:
-        np.subtract(m, seg, out=seg)
-    if 0 <= t < n:
-        seg[t] = -seg[t]
-    return float(np.add.reduce(seg))
+#: Threads a phase is split across: one per CPU this process may run on
+#: (set at import), the calling thread included.
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
+#: Fewest leaves per thread when the threads share a row's leaves.  Each
+#: query then costs a hand-over and a wait; with one leaf each (the global
+#: phase at N = 2**17) that made it slower.
+_WIDE_LEAVES = 2
+
+_jobs: queue.SimpleQueue = queue.SimpleQueue()  # work offered to the pool
+_threads = 0  # pool threads started in this process
+
+
+def _serve(jobs: queue.SimpleQueue) -> None:
+    while True:
+        jobs.get()()
+
+
+def _reset_pool() -> None:
+    global _jobs, _threads
+    _jobs, _threads = queue.SimpleQueue(), 0  # a forked child has no threads
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_pool)
+
+
+def _each(fn, n: int, least: int = 1) -> list:
+    """``[fn(i) for i in range(n)]``, run by this thread and up to
+    ``_WORKERS - 1`` pool threads, with at least ``least`` items per
+    thread.  Each item goes to whichever thread is free next, so a pool
+    thread that wakes late, or that the host keeps off its CPU, leaves its
+    items to the others instead of holding them up: this thread waits only
+    for items already under way.  Handing each thread a fixed share made
+    full-certify passes 2-3 times slower on a busy 2-vCPU host."""
+    helpers = min(_WORKERS, n // least) - 1
+    if helpers <= 0:
+        return [fn(i) for i in range(n)]
+    global _threads
+    while _threads < helpers:
+        threading.Thread(target=_serve, args=(_jobs,), name="pgsearch-phase",
+                         daemon=True).start()
+        _threads += 1
+    results, errors, job = [None] * n, [], [fn]
+    claims, finished, done = iter(range(n)), itertools.count(1), threading.Lock()
+    done.acquire()
+
+    def drain() -> None:
+        for i in claims:  # next() on a range iterator is atomic
+            try:
+                results[i] = job[0](i)
+            except BaseException as exc:  # re-raised on the calling thread
+                errors.append(exc)
+            if next(finished) == n:
+                done.release()
+
+    for _ in range(helpers):
+        _jobs.put(drain)
+    drain()
+    done.acquire()
+    job.clear()  # a drain still queued must not keep the state alive
+    if errors:
+        raise errors[0]
+    return results
+
+
+def _row_sums(rows: np.ndarray) -> np.ndarray:
+    """``np.add.reduce(rows, axis=1, keepdims=True)``, bit for bit, for rows
+    of fewer than 8 items, which numpy adds to +0.0 left to right: one
+    column at a time here, instead of one numpy inner loop per row."""
+    m = rows[:, :1] + 0.0
+    for j in range(1, rows.shape[1]):
+        m += rows[:, j : j + 1]
+    return m
+
+
+def _leaves(n: int, lo: int = 0) -> list[tuple[int, int]]:
+    """The ``(start, stop)`` leaves, in order, of at most ``_TILE`` items
+    that numpy's pairwise summation cuts ``range(lo, lo + n)`` into."""
+    if n <= _TILE:
+        return [(lo, lo + n)]
+    half = n // 2 - (n // 2) % 8
+    return _leaves(half, lo) + _leaves(n - half, lo + half)
+
+
+def _tree_sum(n: int, sums) -> float:
+    """Add the leaf sums of ``_leaves(n)`` (an iterator, in order) up the
+    tree numpy's pairwise summation adds them, so the total is
+    bit-identical to ``np.add.reduce`` of the whole run."""
+    if n <= _TILE:
+        return next(sums)
+    half = n // 2 - (n // 2) % 8
+    return _tree_sum(half, sums) + _tree_sum(n - half, sums)
+
+
+def _rows(run: np.ndarray, t: int, width: int, count: int, split: bool = False) -> None:
+    """Every query of a phase on ``run``, whole rows of ``width`` with the
+    target at ``t``.  Rows that fit in a tile go a tile at a time, and a
+    tile takes all ``count`` queries while it stays in cache.  A wider row
+    is cut into leaves, and each query is one pass that reflects a leaf,
+    flips the target for the next query and sums the leaf while it is in
+    cache; the leaf sums are then added up the row's tree.  With ``split``
+    the pool's threads share each pass's leaves."""
+    if width <= _TILE:
+        step = _TILE - _TILE % width
+        for lo in range(0, run.size, step):
+            tile = run[lo : lo + step]
+            rows = tile.reshape(-1, width)
+            f = t - lo
+            for _ in range(count):
+                if 0 <= f < tile.size:
+                    tile[f] = -tile[f]
+                if width < 8:
+                    m = _row_sums(rows)
+                else:
+                    m = np.add.reduce(rows, axis=1, keepdims=True)
+                m /= width
+                m *= 2.0
+                np.subtract(m, rows, out=rows)
+        return
+    cuts = _leaves(width)
+    spans = [(row + lo, row + hi) for row in range(0, run.size, width) for lo, hi in cuts]
+    segs = [run[lo:hi] for lo, hi in spans]
+    flips = [t - lo for lo, _ in spans]
+    means = [None] * len(segs)
+
+    def sweep(i: int) -> float:
+        seg, f = segs[i], flips[i]
+        if means[i] is not None:
+            np.subtract(means[i], seg, out=seg)
+        if 0 <= f < seg.size:
+            seg[f] = -seg[f]
+        return float(np.add.reduce(seg))
+
+    def reflect(i: int) -> None:
+        np.subtract(means[i], segs[i], out=segs[i])
+
+    least = _WIDE_LEAVES if split else len(segs)  # no pool unless split
+    for _ in range(count):
+        sums = iter(_each(sweep, len(segs), least))
+        row_means = [_tree_sum(width, sums) / width * 2.0 for _ in range(run.size // width)]
+        means = [m for m in row_means for _ in cuts]
+    _each(reflect, len(segs), least)
 
 
 def _phase(amps: np.ndarray, target_index: int, width: int, count: int) -> None:
@@ -117,31 +263,19 @@ def _phase(amps: np.ndarray, target_index: int, width: int, count: int) -> None:
     is the global iteration, ``width = block_size`` the local one)."""
     if count == 0:
         return
-    if width <= _TILE:
-        # rows are independent, so a tile of whole rows takes every query
-        # of the phase while it stays in cache
-        step = _TILE - _TILE % width
-        for lo in range(0, amps.size, step):
-            tile = amps[lo : lo + step]
-            rows = tile.reshape(-1, width)
-            t = target_index - lo
-            for _ in range(count):
-                if 0 <= t < tile.size:
-                    tile[t] = -tile[t]
-                m = np.add.reduce(rows, axis=1, keepdims=True)
-                m /= width
-                m *= 2.0
-                np.subtract(m, rows, out=rows)
+    # Tiles, and rows wider than a tile, are independent for the whole
+    # phase, so each is one item for the pool.
+    unit = _TILE - _TILE % width if width <= _TILE else width
+    if width > _TILE and amps.size // width < _WORKERS:
+        # too few rows to go round: the threads share every query's leaves
+        _rows(amps, target_index, width, count, split=True)
         return
-    # wider rows: each query is one pass that reflects a leaf, flips the
-    # target for the next query and sums the leaf while it is in cache
-    rows = amps.reshape(-1, width)
-    offsets = range(target_index, target_index - amps.size, -width)
-    sums = [_sweep(row, None, t) for row, t in zip(rows, offsets)]
-    for _ in range(count - 1):
-        sums = [_sweep(row, s / width * 2.0, t) for row, s, t in zip(rows, sums, offsets)]
-    for row, s in zip(rows, sums):
-        np.subtract(s / width * 2.0, row, out=row)
+
+    def run(i: int) -> None:
+        lo = i * unit
+        _rows(amps[lo : lo + unit], target_index - lo, width, count)
+
+    _each(run, -(-amps.size // unit))
 
 
 def sv_run_schedule(

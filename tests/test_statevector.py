@@ -2,9 +2,17 @@
 reduced engine and the on-disk snapshot format."""
 
 import math
+import os
 import random
 import struct
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
+import weakref
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,7 +37,8 @@ from pgsearch import (
     sv_uniform,
     uniform_state,
 )
-from pgsearch.statevector import _TILE, _sweep
+from pgsearch import statevector
+from pgsearch.statevector import _TILE, _leaves, _row_sums, _tree_sum
 
 from test_model import _mp_final_state, _random_schedule
 
@@ -93,55 +102,219 @@ def _reference_run(g, target, schedule):
     return a
 
 
-@pytest.mark.parametrize(
-    "n, k, target, sch",
-    [
-        (64, 1, 5, Schedule(3, 0, True)),
-        (64, 64, 63, Schedule(2, 5, True)),
-        (1155, 5, 700, Schedule(10, 4, True)),
-        (1155, 3, 1154, Schedule(9, 9, False)),
-        (1024, 4, 300, Schedule(13, 5, True)),
-        (4096, 16, 0, Schedule(12, 3, True)),
-        # N above the tile with b below it, at it and above it
-        (2**18, 8, 70000, Schedule(3, 4, True)),
-        (2**17, 2, 2**16, Schedule(2, 5, True)),
-        (2**18, 2, 100, Schedule(4, 3, True)),
-        # non-power-of-two N: tiles of whole rows that do not fill 2**16
-        # (b = 12500) and rows cut into uneven leaves (b = 65537, 200003)
-        (200000, 16, 199999, Schedule(3, 6, True)),
-        (3 * 65537, 3, 131074, Schedule(2, 4, False)),
-        (200003, 1, 123456, Schedule(5, 0, True)),
-        # the target in the last tile, and phases of zero queries
-        (2**18, 2**6, 2**18 - 1, Schedule(0, 7, True)),
-        (2**18, 2, 2**18 - 1, Schedule(0, 3, False)),
-        (2**17, 4, 5, Schedule(4, 0, False)),
-        (2**17, 4, 5, Schedule(0, 0, False)),
-    ],
-)
+_REFERENCE_CASES = [
+    (64, 1, 5, Schedule(3, 0, True)),
+    (64, 64, 63, Schedule(2, 5, True)),
+    (1155, 5, 700, Schedule(10, 4, True)),
+    (1155, 3, 1154, Schedule(9, 9, False)),
+    (1024, 4, 300, Schedule(13, 5, True)),
+    (4096, 16, 0, Schedule(12, 3, True)),
+    # N above the tile with b below it, at it and above it
+    (2**18, 8, 70000, Schedule(3, 4, True)),
+    (2**17, 2, 2**16, Schedule(2, 5, True)),
+    (2**18, 2, 100, Schedule(4, 3, True)),
+    # non-power-of-two N: tiles of whole rows that do not fill 2**16
+    # (b = 12500) and rows cut into uneven leaves (b = 65537, 200003)
+    (200000, 16, 199999, Schedule(3, 6, True)),
+    (3 * 65537, 3, 131074, Schedule(2, 4, False)),
+    (200003, 1, 123456, Schedule(5, 0, True)),
+    # the target in the last tile, and phases of zero queries
+    (2**18, 2**6, 2**18 - 1, Schedule(0, 7, True)),
+    (2**18, 2, 2**18 - 1, Schedule(0, 3, False)),
+    (2**17, 4, 5, Schedule(4, 0, False)),
+    (2**17, 4, 5, Schedule(0, 0, False)),
+    # rows narrower than 8, summed column by column: K = N, N/2 and N/4,
+    # then b = 3, 5, 6, 7 on tiles they do not fill, the target at a
+    # different place in its row each time
+    (2**17, 2**17, 70001, Schedule(2, 3, True)),
+    (2**17, 2**16, 2**17 - 1, Schedule(1, 4, True)),
+    (2**17, 2**15, 65538, Schedule(2, 3, False)),
+    (3 * 30000, 30000, 75001, Schedule(2, 3, True)),
+    (5 * 20000, 20000, 75003, Schedule(1, 4, False)),
+    (6 * 20000, 20000, 72000, Schedule(0, 5, True)),
+    (7 * 20000, 20000, 139999, Schedule(1, 5, True)),
+]
+
+
+@pytest.mark.parametrize("n, k, target, sch", _REFERENCE_CASES)
 def test_run_schedule_bit_identical_to_copy_per_step_reference(n, k, target, sch):
     g = make_geometry(n, k)
     got = sv_run_schedule(g, target, sch).amplitudes
-    assert np.array_equal(got, _reference_run(g, target, sch))
+    assert got.tobytes() == _reference_run(g, target, sch).tobytes()
 
 
-@settings(max_examples=25, deadline=None)
-@given(k=strategies.integers(1, 6), b=strategies.integers(1, 3 * _TILE),
-       data=strategies.data(), j1=strategies.integers(0, 3),
-       j2=strategies.integers(0, 3), trailing=strategies.booleans())
-def test_run_schedule_bit_identical_on_random_geometries(k, b, data, j1, j2, trailing):
+def _check_random_geometry(k, b, data, j1, j2, trailing):
     assume(k * b >= 2)
     g = make_geometry(k * b, k)
     target = data.draw(strategies.integers(0, g.n_items - 1))
     sch = Schedule(j1, j2, trailing)
     got = sv_run_schedule(g, target, sch).amplitudes
-    assert np.array_equal(got, _reference_run(g, target, sch))
+    assert got.tobytes() == _reference_run(g, target, sch).tobytes()
+
+
+_GEOMETRIES = dict(k=strategies.integers(1, 6), b=strategies.integers(1, 3 * _TILE),
+                   data=strategies.data(), j1=strategies.integers(0, 3),
+                   j2=strategies.integers(0, 3), trailing=strategies.booleans())
+
+
+@settings(max_examples=25, deadline=None)
+@given(**_GEOMETRIES)
+def test_run_schedule_bit_identical_on_random_geometries(k, b, data, j1, j2, trailing):
+    _check_random_geometry(k, b, data, j1, j2, trailing)
+
+
+# ------------------------------------------------- work split across threads
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_reference_cases_bit_identical_for_any_worker_count(workers, monkeypatch):
+    """One worker runs every share on the calling thread; three split a
+    2-CPU host's work unevenly.  Neither may change a bit."""
+    monkeypatch.setattr(statevector, "_WORKERS", workers)
+    for case in _REFERENCE_CASES:
+        test_run_schedule_bit_identical_to_copy_per_step_reference(*case)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@settings(max_examples=25, deadline=None)
+@given(**_GEOMETRIES)
+def test_random_geometries_bit_identical_for_any_worker_count(workers, k, b, data,
+                                                              j1, j2, trailing):
+    with mock.patch.object(statevector, "_WORKERS", workers):
+        _check_random_geometry(k, b, data, j1, j2, trailing)
+
+
+@pytest.mark.parametrize("width", range(1, 8))
+def test_narrow_row_sums_bit_equal_numpy(width):
+    """Below 8 items numpy sums a row left to right, so column adds give
+    its bits, signed zeros included."""
+    rng = np.random.default_rng(width)
+    rows = rng.normal(size=(4000, width)) * 10.0 ** rng.integers(-8, 9, size=(4000, width))
+    rows[::7] = -0.0
+    rows[1::7, 0] = -0.0
+    rows[2::7] = rng.choice([0.0, -0.0], size=rows[2::7].shape)
+    rows[3::7, -1] = -rows[3::7, 0]
+    got, want = _row_sums(rows), np.add.reduce(rows, axis=1, keepdims=True)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("width", range(1, 10))
+def test_one_query_on_random_rows_matches_the_literal_reflection(width):
+    """Random amplitudes tell summation orders apart where the engine's
+    near-uniform states may not: rows of 8 or more items must stay on
+    numpy's own row sum."""
+    rng = np.random.default_rng(100 + width)
+    amps = rng.normal(size=width * 20000) * 10.0 ** rng.integers(-6, 7, size=width * 20000)
+    amps[::11] = -0.0
+    target = width * 15000 + width // 2
+    want = amps.copy()
+    want[target] = -want[target]
+    blocks = want.reshape(-1, width)
+    want = (2.0 * blocks.mean(axis=1, keepdims=True) - blocks).reshape(-1)
+    statevector._phase(amps, target, width, 1)
+    assert amps.tobytes() == want.tobytes()
+
+
+def test_concurrent_callers_get_the_same_bits():
+    """Two threads run the engine at once and offer their items to the
+    same pool."""
+    g, sch = make_geometry(2**18, 4), Schedule(3, 3, True)
+    want = _reference_run(g, 1000, sch)
+    got = [None, None]
+
+    def run(i):
+        got[i] = sv_run_schedule(g, 1000, sch).amplitudes
+
+    threads = [threading.Thread(target=run, args=(i,), daemon=True) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads), "a caller hung"
+    assert all(a.tobytes() == want.tobytes() for a in got)
+
+
+def test_an_error_reaches_the_caller_after_every_item_ran(monkeypatch):
+    monkeypatch.setattr(statevector, "_WORKERS", 2)
+    ran = []
+
+    def job(i):
+        ran.append(i)
+        if i == 3:
+            raise ValueError("item 3")
+        return i
+
+    with pytest.raises(ValueError, match="item 3"):
+        statevector._each(job, 8)
+    assert sorted(ran) == list(range(8))
+    assert statevector._each(lambda i: i * i, 8) == [i * i for i in range(8)]
+
+
+def test_workers_keep_no_reference_to_a_finished_state(monkeypatch):
+    """A worker that held its last job would keep that state alive while
+    the next one is allocated (32 MiB more peak RSS at N = 2**22)."""
+    monkeypatch.setattr(statevector, "_WORKERS", 2)
+    for k in (2, 4):  # leaves shared out by the query, and whole rows as items
+        st = sv_run_schedule(make_geometry(2**18, k), 9, Schedule(2, 2, True))
+        assert statevector._threads
+        ref = weakref.ref(st.amplitudes)
+        del st
+        assert ref() is None, k
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_forked_child_runs_after_a_threaded_run(monkeypatch):
+    """A forked child has none of the pool's threads; the engine must start
+    its own instead of counting on the parent's."""
+    monkeypatch.setattr(statevector, "_WORKERS", 2)
+    g, sch = make_geometry(2**19, 4), Schedule(2, 2, True)
+    want = sv_run_schedule(g, 77, sch).amplitudes
+    assert statevector._threads
+    pid = os.fork()
+    if pid == 0:  # the child: report by exit code only
+        code = 1
+        try:
+            same = np.array_equal(sv_run_schedule(g, 77, sch).amplitudes, want)
+            started = threading.active_count() == 1 + statevector._threads
+            code = 0 if same and started else 1
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0:
+        if time.monotonic() > deadline:
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child hung")
+        time.sleep(0.01)
+    assert os.waitstatus_to_exitcode(done[1]) == 0
+
+
+def test_small_states_start_no_thread():
+    """A state of one tile stays on the calling thread, and so does a
+    global phase of two leaves: no pool thread is started and nothing from
+    concurrent.futures is imported, on two CPUs as on one."""
+    script = (
+        "import sys, threading\n"
+        "from pgsearch import make_geometry, Schedule\n"
+        "import pgsearch.statevector as sv\n"
+        "sv._WORKERS = 2\n"
+        "sv.sv_run_schedule(make_geometry(4096, 2), 5, Schedule(20, 10, True))\n"
+        "sv.sv_run_schedule(make_geometry(2**16, 2**15), 5, Schedule(2, 2, True))\n"
+        "sv.sv_run_schedule(make_geometry(2**17, 2**17), 5, Schedule(3, 0, True))\n"
+        "print(threading.active_count(), sv._threads, 'concurrent.futures' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "0", "False"]
 
 
 def test_numpy_sums_split_at_the_pairwise_tree_nodes():
     """The facts the tiled engine rests on.  A contiguous float64 sum of
     more than 128 items is the sum of its halves cut at
-    n//2 - (n//2) % 8, so ``_sweep``, which sums leaf by leaf, agrees
-    bit-for-bit with numpy's whole sum.  And each row of a 2-D array sums
+    n//2 - (n//2) % 8, so the leaf sums of ``_leaves``, added up by
+    ``_tree_sum``, agree bit-for-bit with numpy's whole sum.  And each row of a 2-D array sums
     as that row alone, whatever the row count.  A numpy that changes
     either would change the engine's output bytes."""
     rng = np.random.default_rng(5)
@@ -154,7 +327,8 @@ def test_numpy_sums_split_at_the_pairwise_tree_nodes():
         if n > 128:
             half = n // 2 - (n // 2) % 8
             assert whole == np.add.reduce(a[:half]) + np.add.reduce(a[half:n]), n
-        assert _sweep(a[:n], None, -1) == whole, n
+        leaf_sums = (np.add.reduce(a[lo:hi]) for lo, hi in _leaves(n))
+        assert _tree_sum(n, leaf_sums) == whole, n
     for rows, width in [(1, 7), (3, 129), (64, 1000), (9, _TILE), (5, _TILE + 8),
                         (2, 3 * 10**5), (1, 2**20)]:
         x = a[: rows * width].reshape(rows, width)
