@@ -10,9 +10,11 @@ Five subcommands cover the library surface:
 
 Schedules are reported from ``model.schedule_state``, O(1) at any N.
 Reports go to stdout (or ``--output PATH``) in one of three formats:
-``text`` (aligned, 6 significant digits), ``json`` (full double
-precision, sorted keys), ``csv`` (RFC-4180 style, header row, LF line
-endings).  Identical invocations produce byte-identical output.
+``text`` (aligned, 6 significant digits), ``json`` (byte for byte
+``json.dumps(doc, indent=2, sort_keys=True)``, full double precision),
+``csv`` (RFC-4180 style, header row, LF line endings).  The list reports
+of ``compare`` and multi-K ``optimize`` are written record by record
+from a template.  Identical invocations produce byte-identical output.
 
 Exit codes: 0 success, 2 invalid arguments or an unwritable path,
 3 no feasible schedule, 4 resource cap exceeded.
@@ -106,49 +108,18 @@ def _int_at_least(lo: int):
 #: for floats, str() for ints and strings.
 _TEXT_SPECS = {float: ".6g", int: "", str: ""}
 
-#: Encodes a list of flat dicts in one pass of the C encoder, with every
-#: member on a line of its own; _render re-indents the list level.
-_RECORDS_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n    ", ": "))
-
-#: Encodes a flat dict or list the same way; _json indents it.
-_FLAT_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n", ": "))
-
-
-def _json(value, indent: str = "") -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)``, whose indenting
-    encoder is pure Python: here each dict or list of scalars is one C
-    encoder call, re-indented, and only the levels above it recurse."""
-    if not (isinstance(value, (dict, list)) and value):
-        return _FLAT_ENCODER.encode(value)
-    inner, brackets = indent + "  ", "{}" if isinstance(value, dict) else "[]"
-    members = value.values() if isinstance(value, dict) else value
-    if not any(isinstance(v, (dict, list)) and v for v in members):
-        body = _FLAT_ENCODER.encode(value)[1:-1].replace("\n", "\n" + inner)
-    elif isinstance(value, dict):  # str keys
-        body = f",\n{inner}".join(f"{_FLAT_ENCODER.encode(k)}: {_json(v, inner)}"
-                                  for k, v in sorted(value.items()))
-    else:
-        body = f",\n{inner}".join(_json(v, inner) for v in value)
-    return f"{brackets[0]}\n{inner}{body}\n{indent}{brackets[1]}"
-
 
 def _render(fmt: str, header: list[str], rows, doc, transpose=False) -> str:
-    """Render a report: ``doc`` as JSON, or ``rows`` as a CSV or text table.
+    """Render a report: ``doc`` as ``json.dumps(doc, indent=2, sort_keys=True)``,
+    or ``rows`` as a CSV or text table.
 
     ``rows`` hold the bools, ints, floats and strings of each table row in
-    ``header`` order.  A list ``doc`` holds one flat dict per row.  With
-    ``transpose`` the text form prints one ``name  value`` line per column,
-    for single-row reports.  Cells are made by C-level maps, not per cell.
+    ``header`` order.  With ``transpose`` the text form prints one
+    ``name  value`` line per column, for single-row reports.  Cells are
+    made by C-level maps, not per cell.
     """
     if fmt == "json":
-        if isinstance(doc, list):
-            # The bytes json.dumps(doc, indent=2, sort_keys=True) gives: an
-            # encoded string holds no raw newline, so "},\n    {" occurs only
-            # between two rows.
-            body = _RECORDS_ENCODER.encode(doc)[2:-2]
-            body = body.replace("},\n    {", "\n  },\n  {\n    ")
-            return "[\n  {\n    " + body + "\n  }\n]\n"
-        return _json(doc) + "\n"
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
     # Cells row after row, regrouped into rows by zip(*[iter(values)] * width);
     # `del values` frees them before the report text is copied.
     values, width = list(itertools.chain.from_iterable(rows)), len(header)
@@ -171,15 +142,33 @@ def _render(fmt: str, header: list[str], rows, doc, transpose=False) -> str:
     return "\n".join(map(str.rstrip, map(template.format, *columns))) + "\n"
 
 
+#: One record of a list report as json.dumps(records, indent=2, sort_keys=True)
+#: writes it, keys in sorted order: ints and (always finite) floats by repr,
+#: as the C encoder writes them, and strings (%s) already encoded.
+_COMPARE_RECORD = ('  {\n    "c": %r,\n    "k": %r,\n    "note": %s,\n'
+                   '    "p_interrupted": %r,\n    "r_coeff": %r,\n    "s_coeff": %r\n  }')
+_OPTIMIZE_RECORD = '  {\n    "alpha": %r,\n    "c": %r,\n    "eta": %r,\n    "k": %s\n  }'
+
+
+def _records_json(template: str, records) -> str:
+    """A list report of one or more records as JSON: each tuple of values
+    formatted by ``template``, record by record, with no dict per record."""
+    parts, records = [], map(template.__mod__, records)
+    while piece := ",\n".join(itertools.islice(records, 4096)):
+        parts += (",\n", piece)
+    parts[0] = "[\n"  # in place of the first separator
+    parts.append("\n]\n")
+    return "".join(parts)
+
+
 def cmd_optimize(args) -> str:
-    rows = []
-    for k in args.k:
-        opt = asymptotic_optimum(k)
-        rows.append({"k": "inf" if math.isinf(k) else k, "alpha": opt.alpha,
-                     "eta": opt.eta, "c": opt.c})
-    doc = rows[0] if len(rows) == 1 else rows
-    return _render(args.format, ["K", "alpha", "eta", "c"],
-                   [row.values() for row in rows], doc)
+    optima = zip(args.k, map(asymptotic_optimum, args.k))
+    if args.format == "json" and len(args.k) > 1:
+        return _records_json(_OPTIMIZE_RECORD, (
+            (o.alpha, o.c, o.eta, '"inf"' if math.isinf(k) else k) for k, o in optima))
+    rows = [("inf" if math.isinf(k) else k, o.alpha, o.eta, o.c) for k, o in optima]
+    return _render(args.format, ["K", "alpha", "eta", "c"], rows,
+                   dict(zip(["k", "alpha", "eta", "c"], rows[0])))
 
 
 def _schedule_row(mode: str, g, schedule: Schedule) -> dict:
@@ -252,26 +241,12 @@ def _contiguous_runs(ks: list[int | float]) -> list[list[int]]:
     return runs
 
 
-#: One compare row as json.dumps(rows, indent=2, sort_keys=True) writes it,
-#: keys in sorted order: ints and (always finite) floats by repr, as the C
-#: encoder writes them, and the note already encoded.
-_COMPARE_RECORD = ('  {\n    "c": %r,\n    "k": %r,\n    "note": %s,\n'
-                   '    "p_interrupted": %r,\n    "r_coeff": %r,\n    "s_coeff": %r\n  }')
-
-
-def _compare_json(tables) -> str:
-    """The compare report as a JSON list of one dict per row, formatted
-    straight from each table's row tuples, a slice of rows at a time."""
-    parts = []
+def _compare_records(tables):
+    """The values of each compare row in ``_COMPARE_RECORD`` order, zipped
+    from its table's columns."""
     for table in tables:
         k, s, r, p, c, note = zip(*table)
-        records = map(_COMPARE_RECORD.__mod__,
-                      zip(c, k, map(json.encoder.encode_basestring_ascii, note), p, r, s))
-        while piece := ",\n".join(itertools.islice(records, 4096)):
-            parts += (",\n", piece)
-    parts[0] = "[\n"  # in place of the first separator
-    parts.append("\n]\n")
-    return "".join(parts)
+        yield from zip(c, k, map(json.encoder.encode_basestring_ascii, note), p, r, s)
 
 
 def cmd_compare(args) -> str:
@@ -280,7 +255,7 @@ def cmd_compare(args) -> str:
     # freed before the text is assembled.
     tables = (comparison_table(lo, hi) for lo, hi in runs)
     if args.format == "json":
-        return _compare_json(tables)
+        return _records_json(_COMPARE_RECORD, _compare_records(tables))
     header = ["K", "s_coeff", "r_coeff", "p_interrupted", "c", "note"]
     return _render(args.format, header, itertools.chain.from_iterable(tables), None)
 

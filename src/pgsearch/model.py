@@ -217,8 +217,11 @@ def schedule_state(g: Geometry, schedule: Schedule) -> ReducedState:
     Globals and locals are :func:`_class_basis` in closed form, per item
     (c1/sqrt(b-1) = c2/sqrt(N-b) = 1/sqrt(N-1), also for an empty class);
     the trailing global is one literal :func:`apply_global`, which keeps
-    exactly vanishing amplitudes (N = 4, K = 2) at zero.
+    exactly vanishing amplitudes (N = 4, K = 2) at zero.  Raises
+    PrecisionError for an iteration count above 2**53.
     """
+    if schedule.j1 > MAX_ITEMS or schedule.j2 > MAX_ITEMS:
+        raise PrecisionError("iteration counts above 2**53 are not supported")
     b = g.block_size
     c1, _, cos_w, sin_w = _class_basis(g, schedule.j2)
     phi = (2 * schedule.j1 + 1) * g.theta1

@@ -209,28 +209,24 @@ def _tree_sum(n: int, sums) -> float:
 
 def _rows(run: np.ndarray, t: int, width: int, count: int, split: bool = False) -> None:
     """Every query of a phase on ``run``, whole rows of ``width`` with the
-    target at ``t``.  Rows that fit in a tile go a tile at a time, and a
-    tile takes all ``count`` queries while it stays in cache.  A wider row
+    target at ``t``.  Rows that fit in a tile come as one tile, ``run``,
+    which takes all ``count`` queries while it stays in cache.  A wider row
     is cut into leaves, and each query is one pass that reflects a leaf,
     flips the target for the next query and sums the leaf while it is in
     cache; the leaf sums are then added up the row's tree.  With ``split``
     the pool's threads share each pass's leaves."""
     if width <= _TILE:
-        step = _TILE - _TILE % width
-        for lo in range(0, run.size, step):
-            tile = run[lo : lo + step]
-            rows = tile.reshape(-1, width)
-            f = t - lo
-            for _ in range(count):
-                if 0 <= f < tile.size:
-                    tile[f] = -tile[f]
-                if width < 8:
-                    m = _row_sums(rows)
-                else:
-                    m = np.add.reduce(rows, axis=1, keepdims=True)
-                m /= width
-                m *= 2.0
-                np.subtract(m, rows, out=rows)
+        rows = run.reshape(-1, width)
+        for _ in range(count):
+            if 0 <= t < run.size:
+                run[t] = -run[t]
+            if width < 8:
+                m = _row_sums(rows)
+            else:
+                m = np.add.reduce(rows, axis=1, keepdims=True)
+            m /= width
+            m *= 2.0
+            np.subtract(m, rows, out=rows)
         return
     cuts = _leaves(width)
     spans = [(row + lo, row + hi) for row in range(0, run.size, width) for lo, hi in cuts]

@@ -1,6 +1,7 @@
 """End-to-end checks of the pgsearch command line."""
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -239,6 +240,38 @@ def test_render_json_dicts_match_json_dumps(doc):
                 min_size=1, max_size=5))
 def test_render_json_records_match_json_dumps(doc):
     assert cli._render("json", [], [], doc) == _reference_render("json", [], [], doc)
+
+
+_FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from([-0.0, 0.0, 5e-324, 1e16, 1e-5, 0.1, 123456.5]))
+_INTS = st.integers(-10**30, 10**30)
+_NOTES = st.one_of(st.text(max_size=12), st.sampled_from(
+    ["", 'say "hi"', "back\\slash", "two\nlines", "caf\u00e9", "\u65e5\u672c",
+     "\U0001f600", "\x00\x1f\x7f"]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_INTS, _FINITE, _FINITE, _FINITE, _FINITE, _NOTES),
+                min_size=1, max_size=5))
+def test_compare_records_match_json_dumps(rows):
+    records = [(c, k, json.encoder.encode_basestring_ascii(note), p, r, s)
+               for k, s, r, p, c, note in rows]
+    dicts = [{"k": k, "s_coeff": s, "r_coeff": r, "p_interrupted": p, "c": c,
+              "note": note} for k, s, r, p, c, note in rows]
+    assert cli._records_json(cli._COMPARE_RECORD, records) == (
+        json.dumps(dicts, indent=2, sort_keys=True) + "\n")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.one_of(_INTS, st.just(math.inf)), _FINITE, _FINITE,
+                          _FINITE), min_size=1, max_size=5))
+def test_optimize_records_match_json_dumps(rows):
+    records = [(alpha, c, eta, '"inf"' if k == math.inf else k)
+               for k, alpha, eta, c in rows]
+    dicts = [{"k": "inf" if k == math.inf else k, "alpha": alpha, "eta": eta, "c": c}
+             for k, alpha, eta, c in rows]
+    assert cli._records_json(cli._OPTIMIZE_RECORD, records) == (
+        json.dumps(dicts, indent=2, sort_keys=True) + "\n")
 
 
 def test_render_json_shapes_the_cli_builds():
@@ -500,6 +533,44 @@ def test_simulate_emit_state_round_trip(tmp_path, capsys):
 def test_simulate_rejects_negative_j1(capsys):
     code, _, _ = run_cli(["simulate", "--n", "16", "--j1", "-1"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("flag", ["--j1", "--j2"])
+@pytest.mark.parametrize("count", [2**53 + 1, 10**400])
+def test_simulate_refuses_counts_above_2_53(flag, count, capsys):
+    code, out, err = run_cli(["simulate", "--n", "1024", "--k", "4", flag, str(count)],
+                             capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: iteration counts above 2**53 are not supported\n"
+
+
+_COUNTS = st.one_of(st.integers(-2, 10**400), st.integers(0, 2**60),
+                    st.sampled_from([0, 1, 2, 2**53, 2**53 + 1, 10**400]))
+
+
+@st.composite
+def _reduced_argv(draw):
+    k = draw(st.one_of(_COUNTS, st.integers(1, 64)))
+    n = draw(st.one_of(_COUNTS, st.builds(lambda b: k * b, st.integers(1, 2**20))))
+    argv = [draw(st.sampled_from(["simulate", "schedule"])), "--n", str(n),
+            "--k", str(k), "--format", draw(st.sampled_from(["text", "json", "csv"]))]
+    if argv[0] == "simulate":
+        argv += ["--j1", str(draw(_COUNTS)), "--j2", str(draw(_COUNTS))]
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(_reduced_argv())
+def test_reduced_requests_exit_0_or_2(argv):
+    """Reduced simulate and schedule (no --exact) on counts up to 10**400
+    either report or refuse: exit 0 or 2, and nothing else."""
+    sink = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            code = main(argv)
+    except SystemExit as exc:  # parser.error paths
+        code = exc.code
+    assert code in (0, 2), (argv, sink.getvalue()[-300:])
 
 
 # ----------------------------------------------------------------- compare

@@ -443,3 +443,14 @@ def test_schedule_state_takes_one_literal_step(monkeypatch):
         calls.clear()
         model.schedule_state(g, Schedule(29206440, 29206440, trailing))
         assert calls == (["g"] if trailing else [])
+
+
+@pytest.mark.parametrize("field", ["j1", "j2"])
+def test_schedule_state_refuses_counts_above_2_53(field):
+    """Counts up to 2**53 are evaluated; larger ones are refused, which
+    also keeps 10**400 from overflowing the float phase."""
+    g = make_geometry(1024, 4)
+    schedule_state(g, Schedule(**{"j1": 0, "j2": 0, field: 2**53}))
+    for count in (2**53 + 1, 10**30, 10**400):
+        with pytest.raises(PrecisionError):
+            schedule_state(g, Schedule(**{"j1": 0, "j2": 0, field: count}))
