@@ -73,4 +73,5 @@ print()
 print("the engine's outside weight crosses zero near j2=24 while the")
 print("closed form stays visibly negative: at this size its finite-N sign")
 print("structure disagrees with the dynamics, so treat it as asymptotic")
-print("guidance only and let run_schedule arbitrate.")
+print("guidance only; the optimizer decides by the engine's closed form")
+print("and schedule_state.")

@@ -6,15 +6,15 @@ R_K = (pi/4)*sqrt((K-1)/K)*sqrt(N) queries, while the optimized blockwise
 schedule costs S_K = (pi/4 + (alpha_K - eta_K)/sqrt(K))*sqrt(N).  Partial
 search beats the random pick for every K >= 3 and ties it at K = 2.
 
-:func:`comparison_table` returns its rows as :class:`ComparisonRow`, a
-``typing.NamedTuple``: fields read by name, and a row equals the plain
-tuple of its values.
+:func:`comparison_table` returns its rows as :class:`ComparisonRow` and
+:func:`operating_range` an :class:`OperatingRange`.  Like every value type
+of the package, both are ``typing.NamedTuple`` classes: fields read by
+name, and a value equals the plain tuple of its values.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import BadKError, BadVariantError
@@ -59,8 +59,7 @@ class ComparisonRow(NamedTuple):
     note: str = ""
 
 
-@dataclass(frozen=True)
-class OperatingRange:
+class OperatingRange(NamedTuple):
     """Block counts for which interrupting beats restarting.
 
     ``k_max`` follows the large-K closed form floor(3/(1-p)); ``k_max_exact``

@@ -172,15 +172,8 @@ def cmd_optimize(args) -> str:
 
 
 def _schedule_row(mode: str, g, schedule: Schedule) -> dict:
-    final = schedule_state(g, schedule)
-    return {
-        "mode": mode,
-        "j1": schedule.j1,
-        "j2": schedule.j2,
-        "trailing_global": schedule.trailing_global,
-        "queries": schedule.queries,
-        "block_success": block_success_probability(final, g),
-    }
+    return {"mode": mode, **schedule._asdict(), "queries": schedule.queries,
+            "block_success": block_success_probability(schedule_state(g, schedule), g)}
 
 
 def cmd_schedule(args) -> str:
@@ -212,10 +205,8 @@ def cmd_simulate(args) -> str:
     else:
         reduced = schedule_state(g, schedule)
         full_only = {}
-    row.update(j1=schedule.j1, j2=schedule.j2, trailing_global=schedule.trailing_global,
-               queries=schedule.queries, **full_only, amp_target=reduced.amp_target,
-               amp_ntt=reduced.amp_ntt, amp_nb=reduced.amp_nb,
-               block_success=block_success_probability(reduced, g),
+    row.update(schedule._asdict(), queries=schedule.queries, **full_only,
+               **reduced._asdict(), block_success=block_success_probability(reduced, g),
                item_success=item_success_probability(reduced))
     return _render(args.format, list(row), [row.values()], row, transpose=True)
 

@@ -39,7 +39,7 @@ class CapExceededError(PartialSearchError):
 
 
 class BadStateFileError(PartialSearchError, ValueError):
-    """A PGSV file with a bad header or a payload of the wrong size."""
+    """A PGSV file with a bad header, or a payload of the wrong size or not finite."""
 
 
 class BadKError(PartialSearchError, ValueError):

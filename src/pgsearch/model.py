@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NonDivisibleError, PrecisionError, TooSmallError
 
@@ -53,8 +53,7 @@ MAX_ITEMS = 2**53
 NORM_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True, slots=True)
-class Geometry:
+class Geometry(NamedTuple):
     """Database layout: ``n_items`` items in ``n_blocks`` equal blocks.
 
     Block m owns the contiguous index range [m*block_size, (m+1)*block_size);
@@ -69,8 +68,7 @@ class Geometry:
     theta2: float  # arcsin(1/sqrt(block_size)), half-angle of a local iteration
 
 
-@dataclass(frozen=True, slots=True)
-class ReducedState:
+class ReducedState(NamedTuple):
     """Per-item amplitudes on the three invariant classes.
 
     ``amp_ntt`` is the amplitude of each of the block_size - 1 non-target
@@ -85,18 +83,27 @@ class ReducedState:
     amp_nb: float
 
 
-@dataclass(frozen=True, slots=True)
-class Schedule:
-    """Iteration counts: ``j1`` leading globals, then ``j2`` locals, then
-    one optional trailing global."""
-
+class _Counts(NamedTuple):
     j1: int
     j2: int
     trailing_global: bool = True
 
-    def __post_init__(self):
-        if operator.index(self.j1) < 0 or operator.index(self.j2) < 0:
+
+class Schedule(_Counts):
+    """Iteration counts: ``j1`` leading globals, then ``j2`` locals, then
+    one optional trailing global.  Counts are integers >= 0, also through
+    ``_make`` and ``_replace``."""
+
+    __slots__ = ()
+
+    def __new__(cls, j1, j2, trailing_global=True):
+        if operator.index(j1) < 0 or operator.index(j2) < 0:
             raise ValueError("iteration counts must be non-negative")
+        return super().__new__(cls, j1, j2, trailing_global)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*super()._make(iterable))  # _replace builds through _make
 
     @property
     def queries(self) -> int:

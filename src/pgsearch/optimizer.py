@@ -31,7 +31,7 @@ import itertools
 import math
 import operator
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import BadKError, InfeasibleError
 from .model import (
@@ -53,8 +53,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class OptimalParameters:
+class OptimalParameters(NamedTuple):
     """Stationary point of the asymptotic query count for K blocks.
 
     alpha scales the local count (j2 ~ alpha*sqrt(b)), eta the global

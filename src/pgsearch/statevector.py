@@ -39,7 +39,7 @@ import os
 import queue
 import struct
 import threading
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,8 +77,7 @@ PGSV_VERSION = 1
 _PREFIX = struct.Struct("<4sIQQQ")
 
 
-@dataclass(frozen=True)
-class FullState:
+class FullState(NamedTuple):
     """Complete amplitude vector plus the target's location."""
 
     amplitudes: np.ndarray
@@ -354,7 +353,8 @@ def load_state(path) -> FullState:
     """Read a PGSV dump back; inverse of :func:`save_state`.
 
     Header, geometry, target and file size are checked before the payload
-    is read; a malformed header or payload raises BadStateFileError.
+    is read; a malformed header, or a payload of the wrong size or of a
+    squared norm that is not finite, raises BadStateFileError.
     """
     with open(path, "rb") as fh:
         prefix = fh.read(_PREFIX.size)
@@ -370,5 +370,8 @@ def load_state(path) -> FullState:
         payload = os.fstat(fh.fileno()).st_size - _PREFIX.size
         if payload != 8 * n_items:
             raise BadStateFileError(f"payload has {payload} bytes, not {8 * n_items}")
-        amps = np.fromfile(fh, dtype="<f8", count=n_items)
-    return FullState(amps.astype(np.float64, copy=False), target_index, g)
+        amps = np.fromfile(fh, dtype="<f8", count=n_items).astype(np.float64, copy=False)
+    with np.errstate(over="ignore", invalid="ignore"):  # NaN, inf, or a square overflows
+        if not np.isfinite(amps @ amps):  # one pass, no temporary of N items
+            raise BadStateFileError("payload has a squared norm that is not finite")
+    return FullState(amps, target_index, g)

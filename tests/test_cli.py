@@ -57,11 +57,13 @@ def test_cli_matches_golden(case_id, capsys):
     assert (err.splitlines() or [""])[-1] == case["stderr_last_line"]
 
 
-# The reduced engine is pure Python: every golden that does not run the full
-# engine must come out the same in a process where numpy cannot be imported.
+# The reduced engine is pure Python on a short import path: every golden that
+# does not run the full engine must come out the same in a process where
+# neither numpy nor dataclasses can be imported.
 _WITHOUT_NUMPY = """
 import contextlib, io, json, sys
 sys.modules["numpy"] = None  # makes `import numpy` raise ModuleNotFoundError
+sys.modules["dataclasses"] = None
 from pgsearch.cli import main
 results = {}
 for case_id, argv in json.load(sys.stdin).items():

@@ -229,6 +229,51 @@ def test_schedule_rejects_negative_counts():
     assert Schedule(np.int64(2), np.int64(3)).queries == 6
 
 
+def test_schedule_checks_tuple_constructors():
+    for make in (lambda: Schedule._make((-1, 0, True)),
+                 lambda: Schedule(1, 2)._replace(j1=-1),
+                 lambda: Schedule(1, 2)._replace(j2=-3)):
+        with pytest.raises(ValueError):
+            make()
+    with pytest.raises(TypeError):
+        Schedule(1, 2)._replace(j2=0.5)
+    with pytest.raises(TypeError):
+        Schedule._make((1, 2))  # a tuple constructor takes every field
+    assert Schedule._make((1, 2, False))._replace(j2=4) == Schedule(1, 4, False)
+    assert repr(Schedule(13, 5)) == "Schedule(j1=13, j2=5, trailing_global=True)"
+
+
+_MIXED = st.one_of(st.integers(-3, 64), st.integers(2**53 - 2, 2**64), st.booleans(),
+                   st.floats(), st.text(max_size=3), st.none())
+
+
+@settings(max_examples=500, deadline=None)
+@given(_MIXED, _MIXED, _MIXED, st.sampled_from(["call", "_make", "_replace"]))
+def test_record_constructors_accept_or_refuse(a, b, c, route):
+    """Mixed inputs give a valid record, TypeError, ValueError or one of
+    make_geometry's documented errors; never a schedule with a negative
+    count."""
+    try:
+        g = make_geometry(a, b)
+    except (TypeError, TooSmallError, PrecisionError, NonDivisibleError):
+        pass
+    else:
+        assert 2 <= g.n_items <= model.MAX_ITEMS
+        assert g.n_blocks * g.block_size == g.n_items
+    try:
+        if route == "call":
+            s = Schedule(a, b, c)
+        elif route == "_make":
+            s = Schedule._make((a, b, c))
+        else:
+            s = Schedule(0, 0)._replace(j1=a, j2=b, trailing_global=c)
+    except (TypeError, ValueError):
+        return
+    assert type(s) is Schedule
+    assert s.j1 >= 0 and s.j2 >= 0
+    assert s.queries == s.j1 + s.j2 + bool(c)
+
+
 def test_run_schedule_single_trailing_global_n4():
     g = make_geometry(4, 2)
     s = run_schedule(g, Schedule(0, 0, True))

@@ -13,6 +13,8 @@ from pgsearch import (
     BadKError,
     InfeasibleError,
     Schedule,
+    apply_global,
+    apply_local,
     asymptotic_expansion,
     asymptotic_optimum,
     asymptotic_schedule,
@@ -25,6 +27,7 @@ from pgsearch import (
     schedule_state,
     sv_reduce,
     sv_run_schedule,
+    uniform_state,
 )
 
 # stationary points, solved independently at high precision and rounded
@@ -402,6 +405,44 @@ def test_exact_schedule_infeasible_message_matches_brute_force(n, k):
     with pytest.raises(InfeasibleError) as got:
         optimal_exact_schedule(g, 1 - 1e-15)
     assert str(got.value) == str(ref.value)
+
+
+def _best_success_by_length(g, longest):
+    """The largest block success of any word over {G, L} of each length
+    0..``longest``, each word stepped literally from the uniform state,
+    breadth-first."""
+    level, best = [uniform_state(g)], []
+    for length in range(longest + 1):
+        best.append(max(block_success_probability(s, g) for s in level))
+        if length < longest:
+            level = [step(s, g) for s in level for step in (apply_global, apply_local)]
+    return best
+
+
+#: The one case at N <= 2**9 where a word outside the G^j1 L^j2 G family is
+#: shorter than the exact optimum: (N, K, threshold) -> the shortest word's
+#: length.  L G G L G reaches 0.99658 where the family needs G^4 L^2 G.
+_SHORTER_WORDS = {(16, 8, 0.99): 5}
+
+
+@pytest.mark.parametrize("n", [2**e for e in range(4, 10)])
+def test_no_word_is_shorter_than_the_exact_schedule(n):
+    """The exact optimum is cheapest within the G^j1 L^j2 G family; for
+    every K that divides N <= 2**9 no word outside it does better, except
+    in ``_SHORTER_WORDS``.  Thresholds the family cannot reach (N = K = 16
+    at 0.99) are skipped."""
+    for k in (k for k in range(2, n + 1) if n % k == 0):
+        g = make_geometry(n, k)
+        queries = {}
+        for threshold in (0.9, 0.99):
+            try:
+                queries[threshold] = optimal_exact_schedule(g, threshold).queries
+            except InfeasibleError:
+                assert (n, k, threshold) == (16, 16, 0.99)
+        best = _best_success_by_length(g, max(queries.values()) - 1)
+        for threshold, q in queries.items():
+            shortest = next((length for length, p in enumerate(best) if p >= threshold), q)
+            assert shortest == _SHORTER_WORDS.get((n, k, threshold), q), (n, k, threshold)
 
 
 def _count_calls(monkeypatch, module, names):

@@ -24,6 +24,7 @@ from pgsearch import (
     BadStateFileError,
     CapExceededError,
     FullState,
+    PartialSearchError,
     Schedule,
     apply_global,
     apply_local,
@@ -568,6 +569,11 @@ def test_snapshot_rejects_garbage(tmp_path):
         # n_items forged to 2**53: rejected by the size check, before any read
         pytest.param(lambda raw: raw[:8] + struct.pack("<Q", 2**53) + raw[16:],
                      BadStateFileError, id="forged-size"),
+        pytest.param(lambda raw: raw[:32] + struct.pack("<d", math.nan) * 64,
+                     BadStateFileError, id="nan-payload"),
+        # finite, but its square overflows
+        pytest.param(lambda raw: raw[:-8] + struct.pack("<d", 1e200),
+                     BadStateFileError, id="overflowing-payload"),
     ],
 )
 def test_snapshot_rejects_corrupt_files(tmp_path, corrupt, error):
@@ -577,3 +583,38 @@ def test_snapshot_rejects_corrupt_files(tmp_path, corrupt, error):
     path.write_bytes(corrupt(good.read_bytes()))
     with pytest.raises(error):
         load_state(path)
+
+
+@strategies.composite
+def _pgsv_bytes(draw):
+    """Random bytes, or a valid PGSV file of N <= 32 with one amplitude
+    replaced by any float, some bytes overwritten, and maybe its end cut
+    or extended."""
+    if draw(strategies.booleans()):
+        return draw(strategies.binary(max_size=300))
+    n = 2 ** draw(strategies.integers(1, 5))
+    k = draw(strategies.sampled_from([k for k in range(1, n + 1) if n % k == 0]))
+    target = draw(strategies.integers(0, n - 1))
+    raw = bytearray(statevector._PREFIX.pack(b"PGSV", 1, n, k, target)
+                    + np.full(n, n ** -0.5, dtype="<f8").tobytes())
+    at = 32 + 8 * draw(strategies.integers(0, n - 1))
+    raw[at : at + 8] = struct.pack("<d", draw(strategies.floats()))
+    for pos, value in draw(strategies.lists(strategies.tuples(
+            strategies.integers(0, len(raw) - 1), strategies.integers(0, 255)), max_size=4)):
+        raw[pos] = value
+    end = len(raw) + draw(strategies.one_of(strategies.just(0), strategies.integers(-9, 9)))
+    return bytes(raw[:end]) + bytes(max(0, end - len(raw)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=_pgsv_bytes())
+def test_load_state_loads_or_refuses_any_bytes(tmp_path_factory, raw):
+    path = tmp_path_factory.getbasetemp() / "fuzz.pgsv"
+    path.write_bytes(raw)
+    try:
+        state = load_state(path)
+    except PartialSearchError:
+        return
+    assert isinstance(state, FullState)
+    assert state.amplitudes.shape == (state.geometry.n_items,)
+    assert np.isfinite(state.amplitudes).all()
