@@ -26,7 +26,7 @@ from .analysis import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-#: ``statevector.__all__``, listed here so that naming them imports nothing.
+#: ``statevector.__all__`` (it imports this), here so naming them imports nothing.
 _STATEVECTOR_ALL = (
     "DEFAULT_AMPLITUDE_CAP", "AMPLITUDE_QUERY_CAP", "PGSV_MAGIC", "PGSV_VERSION",
     "FullState",

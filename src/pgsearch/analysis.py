@@ -5,6 +5,9 @@ that picks a random block and Grover-searches the rest costs
 R_K = (pi/4)*sqrt((K-1)/K)*sqrt(N) queries, while the optimized blockwise
 schedule costs S_K = (pi/4 + (alpha_K - eta_K)/sqrt(K))*sqrt(N).  Partial
 search beats the random pick for every K >= 3 and ties it at K = 2.
+Both coefficients, the interrupted success and every row of
+:func:`comparison_table` come from one per-K formula, so the scalar
+functions and the table rows are the same floats.
 
 :func:`comparison_table` returns its rows as :class:`ComparisonRow` and
 :func:`operating_range` an :class:`OperatingRange`.  Like every value type
@@ -74,23 +77,20 @@ class OperatingRange(NamedTuple):
 
 def random_pick_coefficient(n_blocks: int) -> float:
     """Queries/sqrt(N) for guessing one block and searching the others."""
-    k = _check_k(n_blocks, finite=True)
-    return math.pi / 4.0 * math.sqrt((k - 1.0) / k)
+    return _row(_check_k(n_blocks, finite=True)).r_coeff
 
 
 def partial_search_coefficient(n_blocks: int) -> float:
-    """Queries/sqrt(N) of the optimized blockwise schedule."""
-    opt = asymptotic_optimum(n_blocks)
-    k = float(n_blocks)
-    return math.pi / 4.0 + (opt.alpha - opt.eta) / math.sqrt(k)
+    """Queries/sqrt(N) of the optimized blockwise schedule; pi/4 at K = inf."""
+    k = _check_k(n_blocks)
+    return math.pi / 4.0 if k == math.inf else _row(k).s_coeff
 
 
 def interrupted_probability(n_blocks: int) -> float:
     """Target-block success of a full Grover run stopped where the
     optimized schedule would switch to local iterations:
     (K-2)**2 / (K*(K-1)); zero at K = 2, approaching 1 - 3/K for large K."""
-    k = _check_k(n_blocks, finite=True)
-    return (k - 2) ** 2 / (k * (k - 1))
+    return _row(_check_k(n_blocks, finite=True)).p_interrupted
 
 
 def operating_range(p_threshold: float) -> OperatingRange:
@@ -182,19 +182,17 @@ def comparison_table(k_min: int, k_max: int) -> list[ComparisonRow]:
     """
     k_min, k_max = _check_k(k_min, finite=True), _check_k(k_max, finite=True)
     _check_table_range(k_min, k_max)
-    # Each value is computed exactly as partial_search_coefficient,
-    # random_pick_coefficient, interrupted_probability and
-    # asymptotic_optimum compute it, so the rows are bit-equal to them.
-    quarter_pi = math.pi / 4.0
-    rows = []
-    for k in range(k_min, k_max + 1):
-        alpha, eta = _stationary_point(float(k))
-        rows.append(ComparisonRow(k, quarter_pi + (alpha - eta) / math.sqrt(k),
-                                  quarter_pi * math.sqrt((k - 1.0) / k),
-                                  (k - 2) ** 2 / (k * (k - 1)), eta - alpha))
-    if k_min <= 4 <= k_max:
-        rows[4 - k_min] = rows[4 - k_min]._replace(note=MISPRINT_NOTE_K4)
-    return rows
+    return list(map(_row, range(k_min, k_max + 1)))
+
+
+def _row(k: int) -> ComparisonRow:
+    """The comparison row of a finite, already checked block count: the one
+    place the s, r, p and c formulas are written."""
+    alpha, eta = _stationary_point(float(k))
+    return ComparisonRow(k, math.pi / 4.0 + (alpha - eta) / math.sqrt(k),
+                         math.pi / 4.0 * math.sqrt((k - 1.0) / k),
+                         (k - 2) ** 2 / (k * (k - 1)), eta - alpha,
+                         MISPRINT_NOTE_K4 if k == 4 else "")
 
 
 def _check_table_range(k_min: int, k_max: int) -> None:

@@ -91,14 +91,16 @@ class _Counts(NamedTuple):
 
 class Schedule(_Counts):
     """Iteration counts: ``j1`` leading globals, then ``j2`` locals, then
-    one optional trailing global.  Counts are integers >= 0, also through
-    ``_make`` and ``_replace``."""
+    one optional trailing global.  Counts are integers >= 0 and the flag is
+    a bool, also through ``_make`` and ``_replace``."""
 
     __slots__ = ()
 
     def __new__(cls, j1, j2, trailing_global=True):
         if operator.index(j1) < 0 or operator.index(j2) < 0:
             raise ValueError("iteration counts must be non-negative")
+        if type(trailing_global) is not bool:
+            raise TypeError(f"trailing_global must be a bool, got {trailing_global!r}")
         return super().__new__(cls, j1, j2, trailing_global)
 
     @classmethod
@@ -108,7 +110,7 @@ class Schedule(_Counts):
     @property
     def queries(self) -> int:
         """Total oracle queries: one per iteration."""
-        return self.j1 + self.j2 + (1 if self.trailing_global else 0)
+        return self.j1 + self.j2 + self.trailing_global
 
 
 def make_geometry(n_items: int, n_blocks: int) -> Geometry:

@@ -43,22 +43,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+# The package lists these exports: it must name them without importing numpy.
+from . import _STATEVECTOR_ALL as __all__
 from .errors import BadIndexError, BadStateFileError, CapExceededError
 from .model import Geometry, ReducedState, Schedule, make_geometry
-
-__all__ = [
-    "DEFAULT_AMPLITUDE_CAP",
-    "AMPLITUDE_QUERY_CAP",
-    "PGSV_MAGIC",
-    "PGSV_VERSION",
-    "FullState",
-    "sv_uniform",
-    "sv_run_schedule",
-    "sv_reduce",
-    "measure_block_distribution",
-    "save_state",
-    "load_state",
-]
 
 #: Default limit on the number of amplitudes a full state may hold.
 DEFAULT_AMPLITUDE_CAP = 1 << 24
@@ -259,10 +247,12 @@ def _phase(amps: np.ndarray, target_index: int, width: int, count: int) -> None:
     if count == 0:
         return
     # Tiles, and rows wider than a tile, are independent for the whole
-    # phase, so each is one item for the pool.
+    # phase, so each is one item for the pool; a wide row taken whole stays
+    # in its thread's cache across queries (faster than sharing its leaves).
     unit = _TILE - _TILE % width if width <= _TILE else width
     if width > _TILE and amps.size // width < _WORKERS:
-        # too few rows to go round: the threads share every query's leaves
+        # too few rows to go round: the threads share every query's leaves,
+        # since one thread per row would leave the others idle
         _rows(amps, target_index, width, count, split=True)
         return
 

@@ -51,6 +51,39 @@ def test_coefficients_frozen(k):
     assert partial_search_coefficient(k) == pytest.approx(S_COEFF[k], rel=1e-12)
 
 
+def _reference_random_pick(k):
+    k = int(k)
+    return math.pi / 4.0 * math.sqrt((k - 1.0) / k)
+
+
+def _reference_partial_search(k):
+    opt = asymptotic_optimum(k)
+    return math.pi / 4.0 + (opt.alpha - opt.eta) / math.sqrt(float(k))
+
+
+def _reference_interrupted(k):
+    k = int(k)
+    return (k - 2) ** 2 / (k * (k - 1))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 4.0, 5, 1000, 10**6, 2**53 + 1, 10**300, math.inf],
+                         ids=["2", "3", "4", "4.0", "5", "1000", "10**6", "2**53+1",
+                              "10**300", "inf"])
+def test_scalar_coefficients_equal_their_own_formulas_bit_for_bit(k):
+    # each formula written out on its own, apart from the table row that
+    # the public functions read
+    pairs = [(partial_search_coefficient(k), _reference_partial_search(k))]
+    if k != math.inf:
+        pairs += [(random_pick_coefficient(k), _reference_random_pick(k)),
+                  (interrupted_probability(k), _reference_interrupted(k))]
+    for got, want in pairs:
+        assert got.hex() == want.hex()
+
+
+def test_partial_search_coefficient_at_infinite_k_is_quarter_pi():
+    assert partial_search_coefficient(math.inf) == math.pi / 4
+
+
 def test_coefficients_coincide_at_k2():
     assert abs(partial_search_coefficient(2) - random_pick_coefficient(2)) <= 1e-12
 

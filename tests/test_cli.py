@@ -13,7 +13,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import pgsearch.cli as cli
 from pgsearch import (
@@ -573,6 +573,68 @@ def test_reduced_requests_exit_0_or_2(argv):
     except SystemExit as exc:  # parser.error paths
         code = exc.code
     assert code in (0, 2), (argv, sink.getvalue()[-300:])
+
+
+_SPEC_TOKEN = st.one_of(
+    st.integers(-1, 70).map(str), st.just("inf"),
+    st.tuples(st.integers(-1, 70), st.integers(-1, 300)).map("{0[0]}..{0[1]}".format),
+    st.text("0123456789.,inf -", max_size=6),
+)
+#: Iteration counts the full engine either runs at once or refuses at once:
+#: small ones, and ones whose work exceeds AMPLITUDE_QUERY_CAP at any N.
+_FULL_COUNTS = st.one_of(st.integers(0, 64), st.sampled_from([2**40, 2**53 + 1, 10**400]))
+
+
+@st.composite
+def _any_argv(draw, out_dir):
+    """A request to any subcommand, in any format, on a small database."""
+    command = draw(st.sampled_from(["optimize", "compare", "bound", "schedule",
+                                    "simulate", "simulate-full"]))
+    argv = [command.partition("-")[0]]
+    if command in ("optimize", "compare"):
+        argv += ["--k", ",".join(draw(st.lists(_SPEC_TOKEN, min_size=1, max_size=3)))]
+    else:
+        big = 2**10 if command == "simulate-full" else 2**12
+        k = draw(st.integers(-1, 70))
+        n = draw(st.one_of(st.integers(-1, big),
+                           st.integers(1, big // max(k, 1)).map(lambda b: max(k, 1) * b)))
+        argv += ["--n", str(n), "--k", str(k)]
+    if command == "schedule" and draw(st.booleans()):
+        argv += ["--exact", "--threshold", draw(st.sampled_from(
+            ["0.5", "0.9", "0.99", "0.999999", "0", "1", "nan", "-1"]))]
+    if command.startswith("simulate"):
+        counts = _FULL_COUNTS if command == "simulate-full" else _COUNTS
+        argv += ["--j1", str(draw(counts)), "--j2", str(draw(counts)),
+                 draw(st.sampled_from(["--trailing", "--no-trailing"]))]
+    if command == "simulate-full":
+        argv += ["--engine", "full", "--target", str(draw(st.integers(0, 2**10 + 1)))]
+        if draw(st.booleans()):
+            argv += ["--state-cap", str(draw(st.sampled_from([1, 16, 2**10])))]
+    if command.startswith("simulate") and draw(st.booleans()):
+        argv += ["--emit-state", str(out_dir / "state.pgsv")]  # reduced: refused
+    if draw(st.booleans()):
+        argv += ["--output", str(out_dir / "report")]
+    return argv + ["--format", draw(st.sampled_from(["text", "json", "csv"]))]
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_request_exits_0_2_3_or_4_within_a_second(data, tmp_path):
+    """Every subcommand, --exact and both engines included, reports, is
+    refused, finds no schedule or hits a cap: exit 0, 2, 3 or 4, or
+    argparse's SystemExit(2), and no traceback."""
+    argv = data.draw(_any_argv(tmp_path))
+    sink = io.StringIO()
+    start = time.perf_counter()
+    try:
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            code = main(argv)
+    except SystemExit as exc:  # parser.error paths
+        assert exc.code == 2, (argv, sink.getvalue()[-300:])
+    else:
+        assert code in (0, 2, 3, 4), (argv, sink.getvalue()[-300:])
+    assert time.perf_counter() - start < 1.0, argv
 
 
 # ----------------------------------------------------------------- compare

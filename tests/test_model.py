@@ -239,6 +239,12 @@ def test_schedule_checks_tuple_constructors():
         Schedule(1, 2)._replace(j2=0.5)
     with pytest.raises(TypeError):
         Schedule._make((1, 2))  # a tuple constructor takes every field
+    for make in (lambda: Schedule(1, 1, "no"), lambda: Schedule(1, 1, None),
+                 lambda: Schedule(1, 1, 0.5),
+                 lambda: Schedule(0, 0)._replace(trailing_global=1),
+                 lambda: Schedule._make((0, 0, np.bool_(True)))):
+        with pytest.raises(TypeError):
+            make()  # the trailing flag is a bool, never a truthy stand-in
     assert Schedule._make((1, 2, False))._replace(j2=4) == Schedule(1, 4, False)
     assert repr(Schedule(13, 5)) == "Schedule(j1=13, j2=5, trailing_global=True)"
 
@@ -271,6 +277,7 @@ def test_record_constructors_accept_or_refuse(a, b, c, route):
         return
     assert type(s) is Schedule
     assert s.j1 >= 0 and s.j2 >= 0
+    assert type(s.trailing_global) is bool
     assert s.queries == s.j1 + s.j2 + bool(c)
 
 
