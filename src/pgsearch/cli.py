@@ -12,9 +12,9 @@ Schedules are reported from ``model.schedule_state``, O(1) at any N.
 Reports go to stdout (or ``--output PATH``) in one of three formats:
 ``text`` (aligned, 6 significant digits), ``json`` (byte for byte
 ``json.dumps(doc, indent=2, sort_keys=True)``, full double precision),
-``csv`` (RFC-4180 style, header row, LF line endings).  The list reports
-of ``compare`` and multi-K ``optimize`` are written record by record
-from a template.  Identical invocations produce byte-identical output.
+``csv`` (RFC-4180 style, header row, LF line endings); the JSON list
+reports of ``compare`` and multi-K ``optimize`` are keyed by the
+lower-cased header.  Identical invocations produce byte-identical output.
 
 Exit codes: 0 success, 2 invalid arguments or an unwritable path,
 3 no feasible schedule, 4 resource cap exceeded.
@@ -29,6 +29,7 @@ import io
 import itertools
 import json
 import math
+import operator
 import sys
 
 from .analysis import (
@@ -111,7 +112,8 @@ _TEXT_SPECS = {float: ".6g", int: "", str: ""}
 
 def _render(fmt: str, header: list[str], rows, doc, transpose=False) -> str:
     """Render a report: ``doc`` as ``json.dumps(doc, indent=2, sort_keys=True)``,
-    or ``rows`` as a CSV or text table.
+    ``rows`` as a CSV or text table, or, with no ``doc``, as JSON records
+    keyed by the lower-cased ``header``.
 
     ``rows`` hold the bools, ints, floats and strings of each table row in
     ``header`` order.  With ``transpose`` the text form prints one
@@ -119,7 +121,8 @@ def _render(fmt: str, header: list[str], rows, doc, transpose=False) -> str:
     made by C-level maps, not per cell.
     """
     if fmt == "json":
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return (_records_json(header, rows) if doc is None
+                else json.dumps(doc, indent=2, sort_keys=True) + "\n")
     # Cells row after row, regrouped into rows by zip(*[iter(values)] * width);
     # `del values` frees them before the report text is copied.
     values, width = list(itertools.chain.from_iterable(rows)), len(header)
@@ -142,33 +145,38 @@ def _render(fmt: str, header: list[str], rows, doc, transpose=False) -> str:
     return "\n".join(map(str.rstrip, map(template.format, *columns))) + "\n"
 
 
-#: One record of a list report as json.dumps(records, indent=2, sort_keys=True)
-#: writes it, keys in sorted order: ints and (always finite) floats by repr,
-#: as the C encoder writes them, and strings (%s) already encoded.
-_COMPARE_RECORD = ('  {\n    "c": %r,\n    "k": %r,\n    "note": %s,\n'
-                   '    "p_interrupted": %r,\n    "r_coeff": %r,\n    "s_coeff": %r\n  }')
-_OPTIMIZE_RECORD = '  {\n    "alpha": %r,\n    "c": %r,\n    "eta": %r,\n    "k": %s\n  }'
+def _records_json(header: list[str], rows) -> str:
+    """One or more rows as json.dumps writes the list of their records,
+    ``dict(zip(map(str.lower, header), row))``, with indent=2 and sorted keys.
 
-
-def _records_json(template: str, records) -> str:
-    """A list report of one or more records as JSON: each tuple of values
-    formatted by ``template``, record by record, with no dict per record."""
-    parts, records = [], map(template.__mod__, records)
-    while piece := ",\n".join(itertools.islice(records, 4096)):
-        parts += (",\n", piece)
+    The cells are ints, finite floats and strings: ``str()`` of an int or a
+    finite float is what the C encoder writes, and a column that holds any
+    string is encoded cell by cell.
+    """
+    encode, keys = json.encoder.encode_basestring_ascii, [*map(str.lower, header)]
+    picks = [operator.itemgetter(keys.index(key)) for key in sorted(keys)]
+    template = "  {\n%s\n  }" % ",\n".join([f"    {encode(k)}: %s" for k in sorted(keys)])
+    parts, rows = [], iter(rows)
+    # 4096 rows at a time, each column read from the rows: transposing the
+    # chunk instead grew the peak RSS of repeated reports by about 10%.
+    while chunk := [*itertools.islice(rows, 4096)]:
+        columns = [map(pick, chunk) for pick in picks]
+        for i, pick in enumerate(picks):  # compare's note, optimize's "inf"
+            if str in set(map(type, map(pick, chunk))):
+                columns[i] = (encode(v) if type(v) is str else v for v in columns[i])
+        parts += (",\n", ",\n".join(map(template.__mod__, zip(*columns))))
     parts[0] = "[\n"  # in place of the first separator
     parts.append("\n]\n")
     return "".join(parts)
 
 
 def cmd_optimize(args) -> str:
-    optima = zip(args.k, map(asymptotic_optimum, args.k))
-    if args.format == "json" and len(args.k) > 1:
-        return _records_json(_OPTIMIZE_RECORD, (
-            (o.alpha, o.c, o.eta, '"inf"' if math.isinf(k) else k) for k, o in optima))
-    rows = [("inf" if math.isinf(k) else k, o.alpha, o.eta, o.c) for k, o in optima]
-    return _render(args.format, ["K", "alpha", "eta", "c"], rows,
-                   dict(zip(["k", "alpha", "eta", "c"], rows[0])))
+    header = ["K", "alpha", "eta", "c"]
+    rows = (("inf" if math.isinf(k) else k, *asymptotic_optimum(k)[:3]) for k in args.k)
+    if len(args.k) > 1:
+        return _render(args.format, header, rows, None)
+    row = next(rows)
+    return _render(args.format, header, [row], dict(zip(map(str.lower, header), row)))
 
 
 def _schedule_row(mode: str, g, schedule: Schedule) -> dict:
@@ -232,21 +240,11 @@ def _contiguous_runs(ks: list[int | float]) -> list[list[int]]:
     return runs
 
 
-def _compare_records(tables):
-    """The values of each compare row in ``_COMPARE_RECORD`` order, zipped
-    from its table's columns."""
-    for table in tables:
-        k, s, r, p, c, note = zip(*table)
-        yield from zip(c, k, map(json.encoder.encode_basestring_ascii, note), p, r, s)
-
-
 def cmd_compare(args) -> str:
     runs = _contiguous_runs(args.k)  # refuses a bad spec before any row is built
     # Tables are built as the report consumes them, so each run's table is
     # freed before the text is assembled.
     tables = (comparison_table(lo, hi) for lo, hi in runs)
-    if args.format == "json":
-        return _records_json(_COMPARE_RECORD, _compare_records(tables))
     header = ["K", "s_coeff", "r_coeff", "p_interrupted", "c", "note"]
     return _render(args.format, header, itertools.chain.from_iterable(tables), None)
 

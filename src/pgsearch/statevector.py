@@ -51,8 +51,9 @@ from .model import Geometry, ReducedState, Schedule, make_geometry
 #: Default limit on the number of amplitudes a full state may hold.
 DEFAULT_AMPLITUDE_CAP = 1 << 24
 
-#: Limit on the work of one run, N times the schedule's queries.  Every
-#: schedule :func:`~pgsearch.optimal_exact_schedule` can return for
+#: Limit on the work of one run, the schedule's queries times N, but at
+#: least a tile per query, which takes a tile's time however small N is.
+#: Every schedule :func:`~pgsearch.optimal_exact_schedule` can return for
 #: N <= 2**24 fits (the largest, K = 2 at N = 2**24, needs about 1.3e11).
 AMPLITUDE_QUERY_CAP = 1 << 37
 
@@ -271,10 +272,10 @@ def sv_run_schedule(
 ) -> FullState:
     """Run the schedule on the uniform state, mirroring ``run_schedule``.
 
-    Raises CapExceededError, before allocating anything, when N times the
-    schedule's queries exceeds AMPLITUDE_QUERY_CAP.
+    Raises CapExceededError, before allocating anything, when the
+    schedule's queries times max(N, _TILE) exceed AMPLITUDE_QUERY_CAP.
     """
-    work = g.n_items * schedule.queries
+    work = max(g.n_items, _TILE) * schedule.queries
     if work > AMPLITUDE_QUERY_CAP:
         raise CapExceededError(
             f"{work} amplitude-queries exceed the cap of {AMPLITUDE_QUERY_CAP}"

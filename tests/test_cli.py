@@ -13,7 +13,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import pgsearch.cli as cli
 from pgsearch import (
@@ -245,22 +245,27 @@ def test_render_json_records_match_json_dumps(doc):
 
 
 _FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
-                    st.sampled_from([-0.0, 0.0, 5e-324, 1e16, 1e-5, 0.1, 123456.5]))
-_INTS = st.integers(-10**30, 10**30)
+                    st.sampled_from([-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e16,
+                                     1e-5, 0.1, 123456.5, 1.7976931348623157e308]))
+_INTS = st.one_of(st.integers(-10**30, 10**30),
+                  st.sampled_from([2**53 + 1, -(2**53 + 1), 2**64, 10**30 + 1]))
 _NOTES = st.one_of(st.text(max_size=12), st.sampled_from(
     ["", 'say "hi"', "back\\slash", "two\nlines", "caf\u00e9", "\u65e5\u672c",
-     "\U0001f600", "\x00\x1f\x7f"]))
+     "\U0001f600", "\x00\x1f\x7f", "inf", "%s", "%%"]))
+_COMPARE_HEADER = ["K", "s_coeff", "r_coeff", "p_interrupted", "c", "note"]
+_OPTIMIZE_HEADER = ["K", "alpha", "eta", "c"]
+#: The cells of one column: one type, or ints mixed with strings.
+_COLUMNS = st.sampled_from([_INTS, _FINITE, _NOTES, st.one_of(_INTS, st.just("inf")),
+                            st.one_of(_INTS, _NOTES), st.one_of(_INTS, _FINITE, _NOTES)])
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(_INTS, _FINITE, _FINITE, _FINITE, _FINITE, _NOTES),
                 min_size=1, max_size=5))
 def test_compare_records_match_json_dumps(rows):
-    records = [(c, k, json.encoder.encode_basestring_ascii(note), p, r, s)
-               for k, s, r, p, c, note in rows]
     dicts = [{"k": k, "s_coeff": s, "r_coeff": r, "p_interrupted": p, "c": c,
               "note": note} for k, s, r, p, c, note in rows]
-    assert cli._records_json(cli._COMPARE_RECORD, records) == (
+    assert cli._records_json(_COMPARE_HEADER, rows) == (
         json.dumps(dicts, indent=2, sort_keys=True) + "\n")
 
 
@@ -268,11 +273,42 @@ def test_compare_records_match_json_dumps(rows):
 @given(st.lists(st.tuples(st.one_of(_INTS, st.just(math.inf)), _FINITE, _FINITE,
                           _FINITE), min_size=1, max_size=5))
 def test_optimize_records_match_json_dumps(rows):
-    records = [(alpha, c, eta, '"inf"' if k == math.inf else k)
-               for k, alpha, eta, c in rows]
-    dicts = [{"k": "inf" if k == math.inf else k, "alpha": alpha, "eta": eta, "c": c}
-             for k, alpha, eta, c in rows]
-    assert cli._records_json(cli._OPTIMIZE_RECORD, records) == (
+    rows = [("inf" if k == math.inf else k, alpha, eta, c) for k, alpha, eta, c in rows]
+    dicts = [{"k": k, "alpha": alpha, "eta": eta, "c": c} for k, alpha, eta, c in rows]
+    assert cli._records_json(_OPTIMIZE_HEADER, rows) == (
+        json.dumps(dicts, indent=2, sort_keys=True) + "\n")
+
+
+@st.composite
+def _list_reports(draw):
+    """A header and rows: the compare and optimize tables with their own
+    cell types, or distinct identifiers over drawn columns."""
+    header = draw(st.one_of(st.just(_COMPARE_HEADER), st.just(_OPTIMIZE_HEADER), st.lists(
+        st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,7}", fullmatch=True),
+        min_size=1, max_size=6, unique_by=str.lower)))
+    if header is _COMPARE_HEADER:
+        columns = [_INTS, _FINITE, _FINITE, _FINITE, _FINITE, _NOTES]
+    elif header is _OPTIMIZE_HEADER:
+        columns = [st.one_of(_INTS, st.just("inf")), _FINITE, _FINITE, _FINITE]
+    else:
+        columns = [draw(_COLUMNS) for _ in header]
+    return header, draw(st.lists(st.tuples(*columns), min_size=1, max_size=6))
+
+
+#: More rows than one 4096-row chunk, with strings on both sides of the
+#: first boundary and in the last, short chunk.
+_LONG_REPORT = (["K", "alpha", "eta", "note"], [
+    ("inf" if k in (4095, 4096, 8192) else k, k / 7, -k * 1e-300,
+     'q"\\' if k % 4096 < 2 else "") for k in range(8193)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_list_reports())
+@example(_LONG_REPORT)
+def test_records_json_matches_json_dumps(report):
+    header, rows = report
+    dicts = [dict(zip(map(str.lower, header), row)) for row in rows]
+    assert cli._records_json(header, rows) == (
         json.dumps(dicts, indent=2, sort_keys=True) + "\n")
 
 
@@ -502,8 +538,22 @@ def test_simulate_full_refuses_work_beyond_cap(tmp_path, capsys):
     assert code == 4
     assert out == ""
     assert err.splitlines()[-1] == (
-        "error: 16000000000016 amplitude-queries exceed the cap of 137438953472")
+        "error: 65536000000065536 amplitude-queries exceed the cap of 137438953472")
     assert not out_file.exists()
+
+
+def test_simulate_full_charges_a_tile_per_query(capsys):
+    # 2**21 + 1 queries on 2 amplitudes, about 25 s of tile-sized steps
+    start = time.perf_counter()
+    code, out, err = run_cli(["simulate", "--engine", "full", "--n", "2", "--k", "2",
+                              "--j1", str(2**21)], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (4, "")
+    assert err.splitlines()[-1] == (
+        "error: 137439019008 amplitude-queries exceed the cap of 137438953472")
+    code, _, _ = run_cli(["simulate", "--engine", "full", "--n", "2", "--k", "2",
+                          "--j1", "1000", "--format", "csv"], capsys)
+    assert code == 0
 
 
 def test_simulate_emit_state_requires_full_engine(tmp_path, capsys):
@@ -581,8 +631,10 @@ _SPEC_TOKEN = st.one_of(
     st.text("0123456789.,inf -", max_size=6),
 )
 #: Iteration counts the full engine either runs at once or refuses at once:
-#: small ones, and ones whose work exceeds AMPLITUDE_QUERY_CAP at any N.
-_FULL_COUNTS = st.one_of(st.integers(0, 64), st.sampled_from([2**40, 2**53 + 1, 10**400]))
+#: small ones, and ones whose work exceeds AMPLITUDE_QUERY_CAP at any N
+#: (more than 2**21 queries, each charged at least a 2**16-amplitude tile).
+_FULL_COUNTS = st.one_of(st.integers(0, 64),
+                         st.sampled_from([2**21 + 1, 2**40, 2**53 + 1, 10**400]))
 
 
 @st.composite
@@ -692,17 +744,11 @@ def test_compare_refuses_bad_specs_before_building_rows(spec, last_line, capsys,
     assert built == []
 
 
-def _reference_compare(spec: str, fmt: str) -> str:
-    """The compare report built one K at a time: a single-row table and a
-    dict per K, then json.dumps, csv.writer or the text width layout."""
-    rows = []
-    for k in parse_k_spec(spec):
-        r = comparison_table(int(k), int(k))[0]
-        rows.append({"k": r.n_blocks, "s_coeff": r.s_coeff, "r_coeff": r.r_coeff,
-                     "p_interrupted": r.p_interrupted, "c": r.c, "note": r.note})
+def _reference_list(header: list[str], rows: list[dict], fmt: str) -> str:
+    """A list report from a dict per row: json.dumps, csv.writer or the
+    text width layout."""
     if fmt == "json":
         return json.dumps(rows, indent=2, sort_keys=True) + "\n"
-    header = ["K", "s_coeff", "r_coeff", "p_interrupted", "c", "note"]
     float_cell = repr if fmt == "csv" else (lambda v: format(v, ".6g"))
     cells = [[float_cell(v) if isinstance(v, float) else str(v)
               for v in row.values()] for row in rows]
@@ -714,6 +760,18 @@ def _reference_compare(spec: str, fmt: str) -> str:
     widths = [max(len(cell) for cell in column) for column in zip(*lines)]
     return "".join("  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip()
                    + "\n" for line in lines)
+
+
+def _reference_compare(spec: str, fmt: str) -> str:
+    """The compare report built one K at a time: a single-row table and a
+    dict per K."""
+    rows = []
+    for k in parse_k_spec(spec):
+        r = comparison_table(int(k), int(k))[0]
+        rows.append({"k": r.n_blocks, "s_coeff": r.s_coeff, "r_coeff": r.r_coeff,
+                     "p_interrupted": r.p_interrupted, "c": r.c, "note": r.note})
+    header = ["K", "s_coeff", "r_coeff", "p_interrupted", "c", "note"]
+    return _reference_list(header, rows, fmt)
 
 
 _RANDOM_LO = random.Random(2005).randint(2, MAX_TABLE_K - 1999)
@@ -730,6 +788,27 @@ def test_compare_matches_per_k_reference(spec, fmt, capsys):
     code, out, err = run_cli(["compare", "--k", spec, "--format", fmt], capsys)
     assert (code, err) == (0, "")
     assert out == _reference_compare(spec, fmt)
+
+
+def _reference_optimize(spec: str, fmt: str) -> str:
+    """The multi-K optimize report built one K at a time, a dict per K."""
+    rows = []
+    for k in parse_k_spec(spec):
+        o = asymptotic_optimum(k)
+        rows.append({"k": "inf" if k == math.inf else k, "alpha": o.alpha,
+                     "eta": o.eta, "c": o.c})
+    return _reference_list(["K", "alpha", "eta", "c"], rows, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("spec", [
+    "2..5000,inf",  # past the first 4096-record chunk of the JSON writer
+    "inf,3,2..4",
+])
+def test_optimize_matches_per_k_reference(spec, fmt, capsys):
+    code, out, err = run_cli(["optimize", "--k", spec, "--format", fmt], capsys)
+    assert (code, err) == (0, "")
+    assert out == _reference_optimize(spec, fmt)
 
 
 # ------------------------------------------------------------------- bound
