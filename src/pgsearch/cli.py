@@ -47,7 +47,8 @@ from .model import (
     make_geometry,
     schedule_state,
 )
-from .optimizer import asymptotic_optimum, asymptotic_schedule, optimal_exact_schedule
+from .optimizer import (_check_k, asymptotic_optimum, asymptotic_schedule,
+                        optimal_exact_schedule)
 
 __all__ = ["main", "parse_k_spec"]
 
@@ -57,11 +58,20 @@ def parse_k_spec(spec: str) -> list[int | float]:
     into exact ints, with ``math.inf`` for ``inf``; at most MAX_TABLE_K
     values, counted before any range is expanded.  Counts beyond the float
     range are refused."""
-    values: list[int | float] = []
+    return [*itertools.chain.from_iterable(_k_parts(spec))]
+
+
+def _k_parts(spec: str) -> list[range | tuple[float]]:
+    """The parts of a block-count spec, unexpanded and in spec order: a
+    ``range`` per count or range, ``(math.inf,)`` per ``inf``; see
+    :func:`parse_k_spec`."""
+    parts: list[range | tuple[float]] = []
+    values = 0
     for token in spec.split(","):
         token = token.strip()
         if token == "inf":
-            values.append(math.inf)
+            parts.append((math.inf,))
+            values += 1
             continue
         lo_text, dots, hi_text = token.partition("..")
         kind = "block-count range" if dots else "block count"
@@ -74,7 +84,8 @@ def parse_k_spec(spec: str) -> list[int | float]:
             raise argparse.ArgumentTypeError(
                 f"descending block-count range {token!r}"
             )
-        if len(values) + hi - lo + 1 > MAX_TABLE_K:
+        values += hi - lo + 1
+        if values > MAX_TABLE_K:
             raise argparse.ArgumentTypeError(
                 f"block-count spec {spec!r} has more than {MAX_TABLE_K} values"
             )
@@ -82,10 +93,10 @@ def parse_k_spec(spec: str) -> list[int | float]:
             float(lo), float(hi)
         except OverflowError as exc:  # beyond the float range
             raise argparse.ArgumentTypeError(f"bad {kind} {token!r}") from exc
-        values.extend(range(lo, hi + 1))
-    if not values:
+        parts.append(range(lo, hi + 1))
+    if not parts:
         raise argparse.ArgumentTypeError(f"empty block-count spec {spec!r}")
-    return values
+    return parts
 
 
 def _int_at_least(lo: int):
@@ -111,72 +122,71 @@ _TEXT_SPECS = {float: ".6g", int: "", str: ""}
 
 
 def _render(fmt: str, header: list[str], rows, doc, transpose=False) -> str:
-    """Render a report: ``doc`` as ``json.dumps(doc, indent=2, sort_keys=True)``,
-    ``rows`` as a CSV or text table, or, with no ``doc``, as JSON records
-    keyed by the lower-cased ``header``.
-
-    ``rows`` hold the bools, ints, floats and strings of each table row in
-    ``header`` order.  With ``transpose`` the text form prints one
-    ``name  value`` line per column, for single-row reports.  Cells are
-    made by C-level maps, not per cell.
-    """
+    """A fixed-size report: ``doc`` as ``json.dumps(doc, indent=2, sort_keys=True)``,
+    ``rows`` as a CSV or text :func:`_table`; with ``transpose`` the text form
+    prints one ``name  value`` line per column, for single-row reports."""
     if fmt == "json":
-        return (_records_json(header, rows) if doc is None
-                else json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    # Cells row after row, regrouped into rows by zip(*[iter(values)] * width);
-    # `del values` frees them before the report text is copied.
-    values, width = list(itertools.chain.from_iterable(rows)), len(header)
-    if bool in set(map(type, values)):
-        values = [("true" if v else "false") if type(v) is bool else v for v in values]
-    if fmt == "csv":  # csv.writer writes ints and strings by str(), floats by repr()
-        sink = io.StringIO()
-        writer = csv.writer(sink, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(zip(*[iter(values)] * width))
-        del values
-        return sink.getvalue()
-    values = list(map(format, values, map(_TEXT_SPECS.get, map(type, values))))
-    if transpose:
-        columns = [header, *zip(*[iter(values)] * width)]
-    else:
-        columns = [[name, *values[i::width]] for i, name in enumerate(header)]
-    del values
-    template = "  ".join([f"{{:<{max(map(len, column))}}}" for column in columns])
-    return "\n".join(map(str.rstrip, map(template.format, *columns))) + "\n"
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    if transpose and fmt == "text":
+        header, *rows = zip(header, *rows)
+    return "".join(_table(fmt, header, rows))
 
 
-def _records_json(header: list[str], rows) -> str:
-    """One or more rows as json.dumps writes the list of their records,
-    ``dict(zip(map(str.lower, header), row))``, with indent=2 and sorted keys.
+def _table(fmt: str, header: list[str], rows):
+    """Yield the table of ``rows`` under ``header``, at most 4096 rows a
+    piece: as text, CSV, or the JSON list that json.dumps writes of the
+    records ``dict(zip(map(str.lower, header), row))`` with indent=2 and
+    sorted keys.  Cells are bools, ints, floats and strings, made into text
+    by C-level maps; JSON takes one or more rows of ints, finite floats
+    (whose str() is what the C encoder writes) and strings."""
+    width, sink = len(header), io.StringIO()
+    rows = itertools.chain([header] if fmt != "json" else [], rows)
+    chunks = enumerate(iter(lambda: [*itertools.islice(rows, 4096)], []))
+    if fmt == "json":
+        encode, keys = json.encoder.encode_basestring_ascii, [*map(str.lower, header)]
+        picks = [operator.itemgetter(keys.index(key)) for key in sorted(keys)]
+        template = "  {\n%s\n  }" % ",\n".join([f"    {encode(k)}: %s" for k in sorted(keys)])
+        for i, chunk in chunks:
+            # Columns read from the rows: a transposed chunk grew RSS by about 10%.
+            columns = [map(pick, chunk) for pick in picks]
+            for j, pick in enumerate(picks):  # strings are encoded cell by cell
+                if str in set(map(type, map(pick, chunk))):
+                    columns[j] = (encode(v) if type(v) is str else v for v in columns[j])
+            yield (",\n" if i else "[\n") + ",\n".join(map(template.__mod__, zip(*columns)))
+        yield "\n]\n"
+        return
+    writer, kept, widths = csv.writer(sink, lineterminator="\n"), [], [0] * width
+    for _, chunk in chunks:
+        # Cells row after row, regrouped into rows by zip(*[iter(values)] * width).
+        values = [*itertools.chain.from_iterable(chunk)]
+        if bool in set(map(type, values)):
+            values = [("true" if v else "false") if type(v) is bool else v for v in values]
+        if fmt == "csv":  # csv.writer writes ints and strings by str(), floats by repr()
+            writer.writerows(zip(*[iter(values)] * width))
+            yield sink.getvalue()
+            sink.truncate(sink.seek(0))
+            continue
+        values = [*map(format, values, map(_TEXT_SPECS.get, map(type, values)))]
+        widths = [*map(max, widths, [max(map(len, values[i::width])) for i in range(width)])]
+        # Kept until all widths are known: as one string, unless a cell has "\0".
+        kept.append(j if (j := "\0".join(values)).count("\0") < len(values) else values)
+    template = "  ".join([f"{{:<{w}}}" for w in widths])
+    for values in kept:
+        values = values.split("\0") if type(values) is str else values
+        lines = itertools.starmap(template.format, zip(*[iter(values)] * width))
+        yield "\n".join(map(str.rstrip, lines)) + "\n"
 
-    The cells are ints, finite floats and strings: ``str()`` of an int or a
-    finite float is what the C encoder writes, and a column that holds any
-    string is encoded cell by cell.
-    """
-    encode, keys = json.encoder.encode_basestring_ascii, [*map(str.lower, header)]
-    picks = [operator.itemgetter(keys.index(key)) for key in sorted(keys)]
-    template = "  {\n%s\n  }" % ",\n".join([f"    {encode(k)}: %s" for k in sorted(keys)])
-    parts, rows = [], iter(rows)
-    # 4096 rows at a time, each column read from the rows: transposing the
-    # chunk instead grew the peak RSS of repeated reports by about 10%.
-    while chunk := [*itertools.islice(rows, 4096)]:
-        columns = [map(pick, chunk) for pick in picks]
-        for i, pick in enumerate(picks):  # compare's note, optimize's "inf"
-            if str in set(map(type, map(pick, chunk))):
-                columns[i] = (encode(v) if type(v) is str else v for v in columns[i])
-        parts += (",\n", ",\n".join(map(template.__mod__, zip(*columns))))
-    parts[0] = "[\n"  # in place of the first separator
-    parts.append("\n]\n")
-    return "".join(parts)
 
-
-def cmd_optimize(args) -> str:
+def cmd_optimize(args):
     header = ["K", "alpha", "eta", "c"]
-    rows = (("inf" if math.isinf(k) else k, *asymptotic_optimum(k)[:3]) for k in args.k)
-    if len(args.k) > 1:
-        return _render(args.format, header, rows, None)
+    for part in args.k:  # every count, before any row is written
+        _check_k(part[0])
+    rows = (("inf" if math.isinf(k) else k, *asymptotic_optimum(k)[:3])
+            for k in itertools.chain.from_iterable(args.k))
+    if sum(map(len, args.k)) > 1:
+        return _table(args.format, header, rows)
     row = next(rows)
-    return _render(args.format, header, [row], dict(zip(map(str.lower, header), row)))
+    return [_render(args.format, header, [row], dict(zip(map(str.lower, header), row)))]
 
 
 def _schedule_row(mode: str, g, schedule: Schedule) -> dict:
@@ -184,7 +194,7 @@ def _schedule_row(mode: str, g, schedule: Schedule) -> dict:
             "block_success": block_success_probability(schedule_state(g, schedule), g)}
 
 
-def cmd_schedule(args) -> str:
+def cmd_schedule(args) -> list[str]:
     g = make_geometry(args.n, args.k)
     rows = [_schedule_row("asymptotic", g, asymptotic_schedule(g))]
     doc = {"n": args.n, "k": args.k, "schedules": rows}
@@ -193,10 +203,10 @@ def cmd_schedule(args) -> str:
             _schedule_row("exact", g, optimal_exact_schedule(g, args.threshold))
         )
         doc["threshold"] = args.threshold
-    return _render(args.format, list(rows[0]), [row.values() for row in rows], doc)
+    return [_render(args.format, list(rows[0]), [row.values() for row in rows], doc)]
 
 
-def cmd_simulate(args) -> str:
+def cmd_simulate(args) -> list[str]:
     g = make_geometry(args.n, args.k)
     schedule = Schedule(args.j1, args.j2, trailing_global=args.trailing)
     row = {"n": args.n, "k": args.k, "engine": args.engine}
@@ -216,40 +226,41 @@ def cmd_simulate(args) -> str:
     row.update(schedule._asdict(), queries=schedule.queries, **full_only,
                **reduced._asdict(), block_success=block_success_probability(reduced, g),
                item_success=item_success_probability(reduced))
-    return _render(args.format, list(row), [row.values()], row, transpose=True)
+    return [_render(args.format, list(row), [row.values()], row, transpose=True)]
 
 
-def _contiguous_runs(ks: list[int | float]) -> list[list[int]]:
-    """Split block counts into runs of consecutive values, in spec order.
+def _contiguous_runs(parts: list[range | tuple[float]]) -> list[list[int]]:
+    """Merge the parts of a block-count spec into runs of consecutive
+    values, in spec order.
 
     The first count, in spec order, that the comparison table does not
     cover raises the error that tabulating it alone would.
     """
-    if not (2 <= min(ks) and max(ks) <= MAX_TABLE_K):
-        k = next(k for k in ks if not 2 <= k <= MAX_TABLE_K)
-        if math.isinf(k):
-            raise BadKError("compare requires finite block counts")
-        _check_table_range(k, k)  # raises
-    runs, last = [], None
-    for k in ks:
-        if k - 1 == last:
-            runs[-1][1] = k
+    runs: list[list[int]] = []
+    for part in parts:
+        lo, hi = part[0], part[-1]
+        if not 2 <= lo <= hi <= MAX_TABLE_K:
+            if math.isinf(lo):
+                raise BadKError("compare requires finite block counts")
+            k = lo if lo < 2 else max(lo, MAX_TABLE_K + 1)
+            _check_table_range(k, k)  # raises
+        if runs and lo - 1 == runs[-1][1]:
+            runs[-1][1] = hi
         else:
-            runs.append([k, k])
-        last = k
+            runs.append([lo, hi])
     return runs
 
 
-def cmd_compare(args) -> str:
+def cmd_compare(args):
     runs = _contiguous_runs(args.k)  # refuses a bad spec before any row is built
-    # Tables are built as the report consumes them, so each run's table is
-    # freed before the text is assembled.
-    tables = (comparison_table(lo, hi) for lo, hi in runs)
+    # Tables of at most 4096 K, each built as the writer takes its rows.
+    tables = (comparison_table(lo, min(lo + 4095, hi))
+              for first, hi in runs for lo in range(first, hi + 1, 4096))
     header = ["K", "s_coeff", "r_coeff", "p_interrupted", "c", "note"]
-    return _render(args.format, header, itertools.chain.from_iterable(tables), None)
+    return _table(args.format, header, itertools.chain.from_iterable(tables))
 
 
-def cmd_bound(args) -> str:
+def cmd_bound(args) -> list[str]:
     g = make_geometry(args.n, args.k)
     bounds = {
         "basic": lower_bound_queries(g, "basic"),
@@ -258,8 +269,8 @@ def cmd_bound(args) -> str:
         "achieved": asymptotic_schedule(g).queries,
         "achieved_asymptotic": partial_search_coefficient(args.k) * math.sqrt(args.n),
     }
-    return _render(args.format, ["variant", "queries"], bounds.items(),
-                   {"n": args.n, "k": args.k, "bounds": bounds})
+    return [_render(args.format, ["variant", "queries"], bounds.items(),
+                    {"n": args.n, "k": args.k, "bounds": bounds})]
 
 
 _N = ("--n", dict(type=_int_at_least(1), required=True, help="database size"))
@@ -267,7 +278,7 @@ _K = ("--k", dict(type=_int_at_least(1), required=True, help="block count"))
 
 
 def _k_spec(examples: str):
-    return ("--k", dict(type=parse_k_spec, required=True, metavar="SPEC",
+    return ("--k", dict(type=_k_parts, required=True, metavar="SPEC",
                         help=f"block counts, e.g. {examples}"))
 
 
@@ -347,12 +358,12 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "emit_state", None) and args.engine != "full":
         parser.error("--emit-state requires --engine full")
     try:
-        text = args.handler(args)
+        report = args.handler(args)  # checks the whole request first
         if args.output:
             with open(args.output, "w", newline="") as fh:
-                fh.write(text)
+                fh.writelines(report)
         else:
-            sys.stdout.write(text)
+            sys.stdout.writelines(report)
     except (PartialSearchError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, InfeasibleError):

@@ -205,6 +205,9 @@ def _rows(run: np.ndarray, t: int, width: int, count: int, split: bool = False) 
     the pool's threads share each pass's leaves."""
     if width <= _TILE:
         rows = run.reshape(-1, width)
+        # Rows of up to 5 items are reflected a column at a time, since
+        # numpy's broadcast runs one short inner loop per row (same bits).
+        parts = [rows[:, j : j + 1] for j in range(width)] if width < 6 else [rows]
         for _ in range(count):
             if 0 <= t < run.size:
                 run[t] = -run[t]
@@ -214,7 +217,8 @@ def _rows(run: np.ndarray, t: int, width: int, count: int, split: bool = False) 
                 m = np.add.reduce(rows, axis=1, keepdims=True)
             m /= width
             m *= 2.0
-            np.subtract(m, rows, out=rows)
+            for part in parts:
+                np.subtract(m, part, out=part)
         return
     cuts = _leaves(width)
     spans = [(row + lo, row + hi) for row in range(0, run.size, width) for lo, hi in cuts]

@@ -6,10 +6,12 @@ import csv
 import io
 import json
 import math
+import os
 import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -170,8 +172,9 @@ def _reference_cell(value, exact: bool) -> str:
 
 
 def _reference_render(fmt, header, rows, doc, transpose=False) -> str:
-    """The per-cell report renderer that cli._render must match byte for
-    byte: a call and an ljust per cell, and json.dumps for every JSON doc."""
+    """The per-cell report renderer that cli._render and cli._table must
+    match byte for byte: a call and an ljust per cell, and json.dumps for
+    every JSON doc."""
     if fmt == "json":
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if fmt == "csv":
@@ -198,7 +201,7 @@ _SCALARS = st.one_of(
     st.sampled_from(_EDGE_FLOATS),
     st.text(max_size=10),
     st.sampled_from(["", " ", "a,b", 'say "hi"', "two\nlines", "cr\r", "caf\u00e9",
-                     "\u65e5\u672c", "tab\t", "trailing  ", "{0}", "}{"]),
+                     "\u65e5\u672c", "tab\t", "trailing  ", "{0}", "}{", "nul\x00"]),
 )
 
 
@@ -210,12 +213,23 @@ def _tables(draw):
     return header, rows
 
 
+#: More rows than one 4096-row chunk, with strings on both sides of the
+#: first boundary and in the last, short chunk.
+_LONG_REPORT = (["K", "alpha", "eta", "note"], [
+    ("inf" if k in (4095, 4096, 8192) else k, k / 7, -k * 1e-300,
+     'q"\\' if k % 4096 < 2 else "") for k in range(8193)])
+
+
 @settings(max_examples=250, deadline=None)
 @given(_tables(), st.sampled_from(["text", "csv"]), st.booleans())
+@example(_LONG_REPORT, "text", False)
+@example(_LONG_REPORT, "csv", False)
 def test_render_matches_per_cell_reference(table, fmt, transpose):
     header, rows = table
     expected = _reference_render(fmt, header, rows, None, transpose)
     assert cli._render(fmt, header, rows, None, transpose) == expected
+    if not transpose:
+        assert "".join(cli._table(fmt, header, rows)) == expected
     rows = (tuple(row) for row in rows)  # compare passes a generator
     assert cli._render(fmt, header, rows, None, transpose) == expected
 
@@ -265,7 +279,7 @@ _COLUMNS = st.sampled_from([_INTS, _FINITE, _NOTES, st.one_of(_INTS, st.just("in
 def test_compare_records_match_json_dumps(rows):
     dicts = [{"k": k, "s_coeff": s, "r_coeff": r, "p_interrupted": p, "c": c,
               "note": note} for k, s, r, p, c, note in rows]
-    assert cli._records_json(_COMPARE_HEADER, rows) == (
+    assert "".join(cli._table("json", _COMPARE_HEADER, rows)) == (
         json.dumps(dicts, indent=2, sort_keys=True) + "\n")
 
 
@@ -275,7 +289,7 @@ def test_compare_records_match_json_dumps(rows):
 def test_optimize_records_match_json_dumps(rows):
     rows = [("inf" if k == math.inf else k, alpha, eta, c) for k, alpha, eta, c in rows]
     dicts = [{"k": k, "alpha": alpha, "eta": eta, "c": c} for k, alpha, eta, c in rows]
-    assert cli._records_json(_OPTIMIZE_HEADER, rows) == (
+    assert "".join(cli._table("json", _OPTIMIZE_HEADER, rows)) == (
         json.dumps(dicts, indent=2, sort_keys=True) + "\n")
 
 
@@ -295,20 +309,13 @@ def _list_reports(draw):
     return header, draw(st.lists(st.tuples(*columns), min_size=1, max_size=6))
 
 
-#: More rows than one 4096-row chunk, with strings on both sides of the
-#: first boundary and in the last, short chunk.
-_LONG_REPORT = (["K", "alpha", "eta", "note"], [
-    ("inf" if k in (4095, 4096, 8192) else k, k / 7, -k * 1e-300,
-     'q"\\' if k % 4096 < 2 else "") for k in range(8193)])
-
-
 @settings(max_examples=200, deadline=None)
 @given(_list_reports())
 @example(_LONG_REPORT)
 def test_records_json_matches_json_dumps(report):
     header, rows = report
     dicts = [dict(zip(map(str.lower, header), row)) for row in rows]
-    assert cli._records_json(header, rows) == (
+    assert "".join(cli._table("json", header, rows)) == (
         json.dumps(dicts, indent=2, sort_keys=True) + "\n")
 
 
@@ -877,6 +884,68 @@ def test_unwritable_path_exits_2(tmp_path, capsys, flag):
     assert out == ""
     assert err.startswith("error:") and str(path) in err
     assert not path.parent.exists()
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("argv", [["optimize", "--k", "2..5,1"],
+                                  ["compare", "--k", "2..5,inf"],
+                                  ["compare", "--k", "2..5000,1"]])
+def test_refused_list_report_writes_nothing(argv, fmt, tmp_path, capsys):
+    path = tmp_path / "report"
+    for output in ([], ["--output", str(path)]):
+        code, out, err = run_cli(argv + ["--format", fmt] + output, capsys)
+        assert (code, out) == (2, "") and err.startswith("error:")
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_unwritable_output_fails_before_any_row(fmt, tmp_path, capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "comparison_table", lambda lo, hi: built.append(lo))
+    path = tmp_path / "missing" / "report"
+    start = time.perf_counter()
+    code, out, err = run_cli(["compare", "--k", "2..1000000", "--format", fmt,
+                              "--output", str(path)], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, built) == (2, "", []) and str(path) in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", [["--k", "2..3"],
+                                  ["--k", "2..1000000", "--format", "csv"],
+                                  ["--k", "2..1000000", "--format", "json"]])
+def test_output_to_a_full_device_exits_2(argv, capsys):
+    # A short report fails as the file is closed, a long CSV or JSON one at
+    # its first full buffer, before the rest of its rows are made.  (Text
+    # writes nothing before all its column widths are known.)
+    start = time.perf_counter()
+    code, out, err = run_cli(["compare", *argv, "--output", "/dev/full"], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "") and err.startswith("error:")
+
+
+def _traced_peak(argv: list[str]) -> int:
+    tracemalloc.start()
+    try:
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("command, fmt", [
+    ("compare", "text"), ("compare", "csv"), ("compare", "json"), ("optimize", "json"),
+])
+def test_list_report_memory_does_not_grow_with_rows(command, fmt):
+    """List reports are written 4096 rows at a time, so the traced peak of
+    10**5 rows stays within 20% of that of 10**4.  Text also keeps each
+    row's cells, compactly, until every column width is known: at most 48
+    bytes per row here, where the old writer held several copies of them."""
+    small, large = (_traced_peak([command, "--k", f"2..{rows + 1}", "--format", fmt])
+                    for rows in (10**4, 10**5))
+    kept = 48 * (10**5 - 10**4) if fmt == "text" else 0
+    assert large < 1.2 * small + kept, (small, large)
 
 
 def test_reports_are_deterministic(capsys, monkeypatch):

@@ -198,6 +198,28 @@ def test_narrow_row_sums_bit_equal_numpy(width):
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("count", [1, 2, 3])
+@pytest.mark.parametrize("width", range(2, 8))
+def test_narrow_rows_reflect_to_the_broadcast_bits(width, count):
+    """Narrow rows reflected a column at a time give the bits of one
+    broadcast subtract over the whole tile, query after query."""
+    rng = np.random.default_rng(10 * width + count)
+    size = _TILE - _TILE % width
+    run = rng.normal(size=size) * 10.0 ** rng.integers(-6, 7, size=size)
+    run[::13] = -0.0
+    target = size // 2 + 1
+    want = run.copy()
+    rows = want.reshape(-1, width)
+    for _ in range(count):
+        want[target] = -want[target]
+        m = np.add.reduce(rows, axis=1, keepdims=True)
+        m /= width
+        m *= 2.0
+        np.subtract(m, rows, out=rows)
+    statevector._rows(run, target, width, count)
+    assert run.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("width", range(1, 10))
 def test_one_query_on_random_rows_matches_the_literal_reflection(width):
     """Random amplitudes tell summation orders apart where the engine's
