@@ -16,6 +16,17 @@ Reports go to stdout (or ``--output PATH``) in one of three formats:
 reports of ``compare`` and multi-K ``optimize`` are keyed by the
 lower-cased header.  Identical invocations produce byte-identical output.
 
+Command lines are parsed by argparse, the only source of usage and error
+text, or, when canonical, from a table of the same argparse actions, which
+gives the same namespace in about a tenth of the time.  An argv is canonical when
+its first token names a subcommand and every later token is an exact option
+string of that subcommand, used at most once, or the one value after an
+option that takes one; no value starts with ``-``, every value converts
+under the option's type and lies in its choices, and every required option
+is present.  Everything else goes to argparse: ``-h``, abbreviations,
+``--flag=value``, repeated or unknown flags, dash-leading values, and every
+refused argv.
+
 Exit codes: 0 success, 2 invalid arguments or an unwritable path,
 3 no feasible schedule, 4 resource cap exceeded.
 """
@@ -139,7 +150,7 @@ def _table(fmt: str, header: list[str], rows):
     sorted keys.  Cells are bools, ints, floats and strings, made into text
     by C-level maps; JSON takes one or more rows of ints, finite floats
     (whose str() is what the C encoder writes) and strings."""
-    width, sink = len(header), io.StringIO()
+    width = len(header)
     rows = itertools.chain([header] if fmt != "json" else [], rows)
     chunks = enumerate(iter(lambda: [*itertools.islice(rows, 4096)], []))
     if fmt == "json":
@@ -155,21 +166,24 @@ def _table(fmt: str, header: list[str], rows):
             yield (",\n" if i else "[\n") + ",\n".join(map(template.__mod__, zip(*columns)))
         yield "\n]\n"
         return
-    writer, kept, widths = csv.writer(sink, lineterminator="\n"), [], [0] * width
+    kept, widths = [], [0] * width
     for _, chunk in chunks:
         # Cells row after row, regrouped into rows by zip(*[iter(values)] * width).
         values = [*itertools.chain.from_iterable(chunk)]
         if bool in set(map(type, values)):
             values = [("true" if v else "false") if type(v) is bool else v for v in values]
         if fmt == "csv":  # csv.writer writes ints and strings by str(), floats by repr()
-            writer.writerows(zip(*[iter(values)] * width))
+            csv.writer(sink := io.StringIO(), lineterminator="\n").writerows(
+                zip(*[iter(values)] * width))
             yield sink.getvalue()
-            sink.truncate(sink.seek(0))
             continue
         values = [*map(format, values, map(_TEXT_SPECS.get, map(type, values)))]
         widths = [*map(max, widths, [max(map(len, values[i::width])) for i in range(width)])]
-        # Kept until all widths are known: as one string, unless a cell has "\0".
-        kept.append(j if (j := "\0".join(values)).count("\0") < len(values) else values)
+        # Kept until all widths are known; a full chunk, which more may follow,
+        # as one string, unless a cell has "\0".
+        if len(chunk) == 4096 and (j := "\0".join(values)).count("\0") < len(values):
+            values = j
+        kept.append(values)
     template = "  ".join([f"{{:<{w}}}" for w in widths])
     for values in kept:
         values = values.split("\0") if type(values) is str else values
@@ -282,8 +296,16 @@ def _k_spec(examples: str):
                         help=f"block counts, e.g. {examples}"))
 
 
+#: The flags every subcommand takes after its own.
+_SHARED = [
+    ("--format", dict(choices=("text", "json", "csv"), default="text",
+                      help="report format (default: text, 6 significant digits)")),
+    ("--output", dict(metavar="PATH", default=None,
+                      help="write the report to PATH instead of stdout")),
+]
+
 # name: (handler, help, [(flag, add_argument keywords)]); every subcommand
-# also takes --format and --output.
+# also takes the _SHARED flags.
 _COMMANDS = {
     "optimize": (
         cmd_optimize, "closed-form optimal coefficients per block count",
@@ -328,33 +350,66 @@ _COMMANDS = {
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process: parsing leaves it
-    unchanged, and building it costs more than most requests."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
+    """The command-line parser and, per subcommand, the table that
+    :func:`_parse_canonical` reads: ``(subparser, {option string: action},
+    required actions, namespace defaults)``, made from the actions that
+    ``add_argument`` returns.  Built once per process: parsing leaves both
+    unchanged, and building them costs more than most requests."""
     parser = argparse.ArgumentParser(
         prog="pgsearch",
         description="Simulate and optimize blockwise (partial) Grover search.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    tables = {}
     for name, (handler, help_text, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text, description=help_text)
-        for flag, options in flags:
-            p.add_argument(flag, **options)
-        p.add_argument(
-            "--format", choices=("text", "json", "csv"), default="text",
-            help="report format (default: text, 6 significant digits)",
-        )
-        p.add_argument(
-            "--output", metavar="PATH", default=None,
-            help="write the report to PATH instead of stdout",
-        )
+        actions = [p.add_argument(flag, **options) for flag, options in flags + _SHARED]
         p.set_defaults(handler=handler)
-    return parser
+        tables[name] = (
+            p, {flag: a for a in actions for flag in a.option_strings},
+            frozenset(a for a in actions if a.required),
+            # in the order argparse sets them
+            {"command": name, **{a.dest: a.default for a in actions}, "handler": handler},
+        )
+    return parser, tables
+
+
+def _parse_canonical(argv: list[str], tables) -> argparse.Namespace | None:
+    """The namespace ``parser.parse_args(argv)`` returns, for a canonical
+    argv (see the module docstring); None for any other argv.  Each option
+    of the CLI takes one value or none; values are converted, checked and
+    stored by the argparse action itself."""
+    table = tables.get(argv[0]) if argv else None
+    if table is None:
+        return None
+    sub, options, required, defaults = table
+    args, seen, tokens = argparse.Namespace(), set(), iter(argv[1:])
+    vars(args).update(defaults)  # a third of the time of Namespace(**defaults)
+    for token in tokens:
+        action = options.get(token)
+        if action is None or action in seen:
+            return None
+        seen.add(action)
+        value = []  # what argparse passes an option that takes no value
+        if action.nargs != 0:
+            value = next(tokens, "-")  # a missing value reads as dash-leading
+            if value.startswith("-"):
+                return None
+            try:
+                value = action.type(value) if action.type else value
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+            if action.choices is not None and value not in action.choices:
+                return None
+        action(sub, args, value, token)
+    return args if required <= seen else None
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    parser, tables = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parse_canonical(argv, tables) or parser.parse_args(argv)
     if getattr(args, "emit_state", None) and args.engine != "full":
         parser.error("--emit-state requires --engine full")
     try:
