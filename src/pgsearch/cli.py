@@ -75,8 +75,8 @@ def parse_k_spec(spec: str) -> list[int | float]:
 
 def _k_parts(spec: str) -> list[range | tuple[float]]:
     """The parts of a block-count spec, unexpanded and in spec order: a
-    ``range`` per count or range, ``(math.inf,)`` per ``inf``; see
-    :func:`parse_k_spec`."""
+    ``range`` per count or range, one for a run of adjacent ones, and
+    ``(math.inf,)`` per ``inf``; see :func:`parse_k_spec`."""
     parts: list[range | tuple[float]] = []
     values = 0
     for token in spec.split(","):
@@ -105,9 +105,10 @@ def _k_parts(spec: str) -> list[range | tuple[float]]:
             float(lo), float(hi)
         except OverflowError as exc:  # beyond the float range
             raise argparse.ArgumentTypeError(f"bad {kind} {token!r}") from exc
-        parts.append(range(lo, hi + 1))
-    if not parts:
-        raise argparse.ArgumentTypeError(f"empty block-count spec {spec!r}")
+        if parts and type(parts[-1]) is range and parts[-1].stop == lo:
+            parts[-1] = range(parts[-1].start, hi + 1)  # adjacent: one part
+        else:
+            parts.append(range(lo, hi + 1))
     return parts
 
 
@@ -275,33 +276,16 @@ def cmd_simulate(args) -> list[str]:
     return [_render(args.format, list(row), [row.values()], row, transpose=True)]
 
 
-def _contiguous_runs(parts: list[range | tuple[float]]) -> list[list[int]]:
-    """Merge the parts of a block-count spec into runs of consecutive
-    values, in spec order.
-
-    The first count, in spec order, that the comparison table does not
-    cover raises the error that tabulating it alone would.
-    """
-    runs: list[list[int]] = []
-    for part in parts:
-        lo, hi = part[0], part[-1]
-        if not 2 <= lo <= hi <= MAX_TABLE_K:
-            if math.isinf(lo):
-                raise BadKError("compare requires finite block counts")
-            k = lo if lo < 2 else max(lo, MAX_TABLE_K + 1)
-            _check_table_range(k, k)  # raises
-        if runs and lo - 1 == runs[-1][1]:
-            runs[-1][1] = hi
-        else:
-            runs.append([lo, hi])
-    return runs
-
-
 def cmd_compare(args):
-    runs = _contiguous_runs(args.k)  # refuses a bad spec before any row is built
+    for part in args.k:  # every part, in spec order, before any row is built
+        if math.isinf(part[0]):
+            raise BadKError("compare requires finite block counts")
+        _check_table_range(part[0], part[0])
+        k = min(part[-1], max(part[0], MAX_TABLE_K + 1))  # first K past the table, if any
+        _check_table_range(k, k)
     # Tables of at most 4096 K, each built as the writer takes its rows.
-    tables = (comparison_table(lo, min(lo + 4095, hi))
-              for first, hi in runs for lo in range(first, hi + 1, 4096))
+    tables = (comparison_table(lo, min(lo + 4095, part[-1]))
+              for part in args.k for lo in part[::4096])
     header = ["K", "s_coeff", "r_coeff", "p_interrupted", "c", "note"]
     return _table(args.format, header, itertools.chain.from_iterable(tables))
 

@@ -27,8 +27,8 @@ no thread is started until a phase is split.
 The result is bit-identical to reflecting the whole state per query,
 however the work is split, because each tile and each leaf goes through
 the same numpy calls on the same values: numpy sums each row of a 2-D
-array as it sums that row alone, sums fewer than 8 items left to right,
-and splits a contiguous sum at those nodes; all three facts are tested.
+array as it sums that row alone, and splits a contiguous sum at those
+nodes; both facts are tested.
 Results are therefore bit-reproducible run to run.
 """
 
@@ -166,16 +166,6 @@ def _each(fn, n: int, least: int = 1) -> list:
     return results
 
 
-def _row_sums(rows: np.ndarray) -> np.ndarray:
-    """``np.add.reduce(rows, axis=1, keepdims=True)``, bit for bit, for rows
-    of fewer than 8 items, which numpy adds to +0.0 left to right: one
-    column at a time here, instead of one numpy inner loop per row."""
-    m = rows[:, :1] + 0.0
-    for j in range(1, rows.shape[1]):
-        m += rows[:, j : j + 1]
-    return m
-
-
 def _leaves(n: int, lo: int = 0) -> list[tuple[int, int]]:
     """The ``(start, stop)`` leaves, in order, of at most ``_TILE`` items
     that numpy's pairwise summation cuts ``range(lo, lo + n)`` into."""
@@ -205,20 +195,13 @@ def _rows(run: np.ndarray, t: int, width: int, count: int, split: bool = False) 
     the pool's threads share each pass's leaves."""
     if width <= _TILE:
         rows = run.reshape(-1, width)
-        # Rows of up to 5 items are reflected a column at a time, since
-        # numpy's broadcast runs one short inner loop per row (same bits).
-        parts = [rows[:, j : j + 1] for j in range(width)] if width < 6 else [rows]
         for _ in range(count):
             if 0 <= t < run.size:
                 run[t] = -run[t]
-            if width < 8:
-                m = _row_sums(rows)
-            else:
-                m = np.add.reduce(rows, axis=1, keepdims=True)
+            m = np.add.reduce(rows, axis=1, keepdims=True)
             m /= width
             m *= 2.0
-            for part in parts:
-                np.subtract(m, part, out=part)
+            np.subtract(m, rows, out=rows)
         return
     cuts = _leaves(width)
     spans = [(row + lo, row + hi) for row in range(0, run.size, width) for lo, hi in cuts]

@@ -107,6 +107,13 @@ def test_parse_k_spec_forms():
     assert parse_k_spec(" 3 , 7 ") == [3, 7]
 
 
+def test_k_parts_merge_adjacent_ranges_only():
+    assert cli._k_parts("2,3,4..6,8") == [range(2, 7), range(8, 9)]
+    # an overlap is no merge: K = 3 is reported twice, in spec order
+    assert cli._k_parts("2..3,3..4") == [range(2, 4), range(3, 5)]
+    assert parse_k_spec("2..3,3..4") == [2, 3, 3, 4]
+
+
 def test_block_counts_above_2_53_stay_exact(capsys):
     # floats would turn these into 2**53, 2**53 + 2 and 2**53 + 4
     spec = "9007199254740993..9007199254740995"
@@ -637,11 +644,24 @@ _SPEC_TOKEN = st.one_of(
     st.tuples(st.integers(-1, 70), st.integers(-1, 300)).map("{0[0]}..{0[1]}".format),
     st.text("0123456789.,inf -", max_size=6),
 )
-#: Iteration counts the full engine either runs at once or refuses at once:
-#: small ones, and ones whose work exceeds AMPLITUDE_QUERY_CAP at any N
-#: (more than 2**21 queries, each charged at least a 2**16-amplitude tile).
-_FULL_COUNTS = st.one_of(st.integers(0, 64),
-                         st.sampled_from([2**21 + 1, 2**40, 2**53 + 1, 10**400]))
+#: Iteration counts whose work exceeds AMPLITUDE_QUERY_CAP at any N (more
+#: than 2**21 queries, each charged at least a 2**16-amplitude tile).
+_REFUSED_FULL_COUNTS = [2**21 + 1, 2**40, 2**53 + 1, 10**400]
+
+#: Iteration counts the full engine either runs at once or refuses at once.
+_FULL_COUNTS = st.one_of(st.integers(0, 64), st.sampled_from(_REFUSED_FULL_COUNTS))
+
+
+@pytest.mark.parametrize("n", [2, 1024])
+@pytest.mark.parametrize("flag", ["--j1", "--j2"])
+@pytest.mark.parametrize("count", _REFUSED_FULL_COUNTS)
+def test_refused_full_counts_exit_4_within_a_second(count, flag, n, capsys):
+    # every run, not only when hypothesis draws one of these counts
+    start = time.perf_counter()
+    code, out, _ = run_cli(["simulate", "--engine", "full", "--n", str(n), "--k", "2",
+                            flag, str(count), "--no-trailing"], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (4, "")
 
 
 @st.composite
@@ -763,6 +783,10 @@ _OUTSIDE = "error: block range [{0}, {0}] outside the supported [2, 10**6]"
     ("1000001,inf", _OUTSIDE.format(1000001)),
     ("inf,1000001", "error: compare requires finite block counts"),
     ("5,1,9", _OUTSIDE.format(1)),
+    ("5..10,999990..1000005", _OUTSIDE.format(1000001)),
+    ("3..5,0..2", _OUTSIDE.format(0)),
+    ("2..4,5..9,inf", "error: compare requires finite block counts"),
+    ("999999..1000000,1000001", _OUTSIDE.format(1000001)),
 ])
 def test_compare_refuses_bad_specs_before_building_rows(spec, last_line, capsys,
                                                         monkeypatch):

@@ -39,7 +39,7 @@ from pgsearch import (
     uniform_state,
 )
 from pgsearch import statevector
-from pgsearch.statevector import _TILE, _leaves, _row_sums, _tree_sum
+from pgsearch.statevector import _TILE, _leaves, _tree_sum
 
 from test_model import _mp_final_state, _random_schedule
 
@@ -124,7 +124,7 @@ _REFERENCE_CASES = [
     (2**18, 2, 2**18 - 1, Schedule(0, 3, False)),
     (2**17, 4, 5, Schedule(4, 0, False)),
     (2**17, 4, 5, Schedule(0, 0, False)),
-    # rows narrower than 8, summed column by column: K = N, N/2 and N/4,
+    # rows narrower than numpy's 8-item unrolled sum: K = N, N/2 and N/4,
     # then b = 3, 5, 6, 7 on tiles they do not fill, the target at a
     # different place in its row each time
     (2**17, 2**17, 70001, Schedule(2, 3, True)),
@@ -184,25 +184,11 @@ def test_random_geometries_bit_identical_for_any_worker_count(workers, k, b, dat
         _check_random_geometry(k, b, data, j1, j2, trailing)
 
 
-@pytest.mark.parametrize("width", range(1, 8))
-def test_narrow_row_sums_bit_equal_numpy(width):
-    """Below 8 items numpy sums a row left to right, so column adds give
-    its bits, signed zeros included."""
-    rng = np.random.default_rng(width)
-    rows = rng.normal(size=(4000, width)) * 10.0 ** rng.integers(-8, 9, size=(4000, width))
-    rows[::7] = -0.0
-    rows[1::7, 0] = -0.0
-    rows[2::7] = rng.choice([0.0, -0.0], size=rows[2::7].shape)
-    rows[3::7, -1] = -rows[3::7, 0]
-    got, want = _row_sums(rows), np.add.reduce(rows, axis=1, keepdims=True)
-    assert got.shape == want.shape and got.tobytes() == want.tobytes()
-
-
 @pytest.mark.parametrize("count", [1, 2, 3])
 @pytest.mark.parametrize("width", range(2, 8))
 def test_narrow_rows_reflect_to_the_broadcast_bits(width, count):
-    """Narrow rows reflected a column at a time give the bits of one
-    broadcast subtract over the whole tile, query after query."""
+    """A tile of narrow rows, which takes all its queries at once, gives
+    the bits of one broadcast reflection of the whole tile per query."""
     rng = np.random.default_rng(10 * width + count)
     size = _TILE - _TILE % width
     run = rng.normal(size=size) * 10.0 ** rng.integers(-6, 7, size=size)
@@ -223,8 +209,7 @@ def test_narrow_rows_reflect_to_the_broadcast_bits(width, count):
 @pytest.mark.parametrize("width", range(1, 10))
 def test_one_query_on_random_rows_matches_the_literal_reflection(width):
     """Random amplitudes tell summation orders apart where the engine's
-    near-uniform states may not: rows of 8 or more items must stay on
-    numpy's own row sum."""
+    near-uniform states may not."""
     rng = np.random.default_rng(100 + width)
     amps = rng.normal(size=width * 20000) * 10.0 ** rng.integers(-6, 7, size=width * 20000)
     amps[::11] = -0.0
