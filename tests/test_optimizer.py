@@ -30,6 +30,8 @@ from pgsearch import (
     uniform_state,
 )
 
+from test_model import _mp_final_state
+
 # stationary points, solved independently at high precision and rounded
 # to float64
 OPTIMUM_TABLE = {
@@ -538,45 +540,31 @@ def _closed_form_success(g, j1, j2):
     return 1.0 - a * a
 
 
-def _mp_block_success(n, k, j1, j2, iterate):
+def _mp_block_success(n, k, j1, j2):
     """Block success of schedule (j1, j2) at 50 digits (see
     :func:`_mp_outside_amplitude`)."""
     with mpmath.workdps(50):
-        return 1 - _mp_outside_amplitude(n, k, j1, j2, iterate) ** 2
+        return 1 - _mp_outside_amplitude(n, k, j1, j2) ** 2
 
 
-def _mp_outside_amplitude(n, k, j1, j2, iterate):
+def _mp_outside_amplitude(n, k, j1, j2):
     """Signed outside amplitude sqrt(N-b)*amp_nb of schedule (j1, j2) after
-    its trailing global, at 50 digits, in the orthonormal class basis: by
-    applying every reflection (``iterate``), or by the rotation angles,
-    which also take real j1 and j2."""
+    its trailing global, at 50 digits, in the orthonormal class basis, by
+    the rotation angles, which also take real j1 and j2."""
     with mpmath.workdps(50):
         n_, b = mpmath.mpf(n), mpmath.mpf(n // k)
         u = [1 / mpmath.sqrt(n_), mpmath.sqrt((b - 1) / n_),
              mpmath.sqrt((n_ - b) / n_)]
-        u_local = [1 / mpmath.sqrt(b), mpmath.sqrt((b - 1) / b)]
-
-        def reflect(v, w):  # oracle flip, then 2|w><w| - 1 on w's coordinates
-            v = [-v[0], *v[1:]]
-            dot = sum(a * c for a, c in zip(v, w))
-            return [2 * dot * c - a for a, c in zip(v, w)] + v[len(w):]
-
-        if iterate:
-            v = list(u)
-            for _ in range(j1):
-                v = reflect(v, u)
-            for _ in range(j2):
-                v = reflect(v, u_local)
-        else:
-            phi = (2 * j1 + 1) * mpmath.asin(1 / mpmath.sqrt(n_))
-            omega = 2 * j2 * mpmath.asin(1 / mpmath.sqrt(b))
-            w = mpmath.sqrt(n_ - 1)
-            x0 = mpmath.sin(phi)
-            x1 = mpmath.cos(phi) * mpmath.sqrt(b - 1) / w
-            v = [mpmath.cos(omega) * x0 + mpmath.sin(omega) * x1,
-                 mpmath.cos(omega) * x1 - mpmath.sin(omega) * x0,
-                 mpmath.cos(phi) * mpmath.sqrt(n_ - b) / w]
-        return reflect(v, u)[2]
+        phi = (2 * j1 + 1) * mpmath.asin(1 / mpmath.sqrt(n_))
+        omega = 2 * j2 * mpmath.asin(1 / mpmath.sqrt(b))
+        w = mpmath.sqrt(n_ - 1)
+        x0 = mpmath.sin(phi)
+        x1 = mpmath.cos(phi) * mpmath.sqrt(b - 1) / w
+        v = [-(mpmath.cos(omega) * x0 + mpmath.sin(omega) * x1),  # oracle flip
+             mpmath.cos(omega) * x1 - mpmath.sin(omega) * x0,
+             mpmath.cos(phi) * mpmath.sqrt(n_ - b) / w]
+        # the trailing global: 2|u><u| - 1 on the flipped state
+        return 2 * sum(a * c for a, c in zip(v, u)) * u[2] - v[2]
 
 
 def _random_schedules(seed, exponents, count):
@@ -591,13 +579,16 @@ def _random_schedules(seed, exponents, count):
 
 
 def test_closed_form_matches_50_digit_iteration():
-    """The rotation picture is the reflections' own dynamics, and both
-    float evaluations stay within their stated bounds; the closed form's
-    is part of the band."""
+    """The rotation picture is the reflections' own dynamics, at every N up
+    to 2**53, and up to 2**12 both float evaluations stay within their
+    stated bounds; the closed form's is part of the band."""
+    for n, k, j1, j2 in _random_schedules(2, range(14, 54, 3), 6):
+        exact = _mp_final_state(n, k, Schedule(j1, j2))[1]
+        assert abs(_mp_block_success(n, k, j1, j2) - exact) < 1e-40, (n, k, j1, j2)
     for n, k, j1, j2 in _random_schedules(1, range(2, 13), 12):
         g = make_geometry(n, k)
-        exact = _mp_block_success(n, k, j1, j2, iterate=True)
-        assert abs(_mp_block_success(n, k, j1, j2, iterate=False) - exact) < 1e-40
+        exact = _mp_final_state(n, k, Schedule(j1, j2))[1]
+        assert abs(_mp_block_success(n, k, j1, j2) - exact) < 1e-40
         closed = _closed_form_success(g, j1, j2)
         assert abs(closed - exact) <= 8 * 2.0**-52
         q = j1 + j2 + 1
@@ -618,7 +609,7 @@ def test_run_schedule_drift_stays_within_band(n, k):
     j2_max = math.ceil(math.pi * math.sqrt(g.block_size) / 2.0)
     for j1, j2 in ((j1_max, 0), (0, j2_max), (j1_max, j2_max)):
         q = j1 + j2 + 1
-        exact = _mp_block_success(n, k, j1, j2, iterate=False)
+        exact = _mp_block_success(n, k, j1, j2)
         iterated = block_success_probability(run_schedule(g, Schedule(j1, j2)), g)
         assert abs(iterated - exact) <= (4 * q + 8) * 2.0**-52
 
@@ -629,11 +620,11 @@ def test_closed_form_accuracy_up_to_2_53():
     rng = random.Random(3)
     for n, k, j1, j2 in _random_schedules(2, range(14, 54, 3), 6):
         g = make_geometry(n, k)
-        exact = _mp_block_success(n, k, j1, j2, iterate=False)
+        exact = _mp_block_success(n, k, j1, j2)
         closed = _closed_form_success(g, j1, j2)
         assert abs(closed - exact) <= 8 * 2.0**-52, (n, k, j1, j2)
         x1, x2 = j1 * rng.random(), j2 * rng.random() + rng.random()
-        exact = _mp_outside_amplitude(n, k, x1, x2, iterate=False)
+        exact = _mp_outside_amplitude(n, k, x1, x2)
         assert abs(outside_amplitude(g, x1, x2) - exact) <= 8 * 2.0**-52, (
             n, k, x1, x2)
 

@@ -261,7 +261,9 @@ def test_workers_keep_no_reference_to_a_finished_state(monkeypatch):
     """A worker that held its last job would keep that state alive while
     the next one is allocated (32 MiB more peak RSS at N = 2**22)."""
     monkeypatch.setattr(statevector, "_WORKERS", 2)
-    for k in (2, 4):  # leaves shared out by the query, and whole rows as items
+    # k = 2: whole wide rows as items; k = 4: one-tile rows.  Each global
+    # phase shares its leaves out over the threads.
+    for k in (2, 4):
         st = sv_run_schedule(make_geometry(2**18, k), 9, Schedule(2, 2, True))
         assert statevector._threads
         ref = weakref.ref(st.amplitudes)
