@@ -280,6 +280,26 @@ _COLUMNS = st.sampled_from([_INTS, _FINITE, _NOTES, st.one_of(_INTS, st.just("in
                             st.one_of(_INTS, _NOTES), st.one_of(_INTS, _FINITE, _NOTES)])
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_INTS, _FINITE, _FINITE, _FINITE, _FINITE, _NOTES),
+                min_size=1, max_size=5))
+def test_compare_records_match_json_dumps(rows):
+    dicts = [{"k": k, "s_coeff": s, "r_coeff": r, "p_interrupted": p, "c": c,
+              "note": note} for k, s, r, p, c, note in rows]
+    assert "".join(cli._table("json", _COMPARE_HEADER, rows)) == (
+        json.dumps(dicts, indent=2, sort_keys=True) + "\n")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.one_of(_INTS, st.just(math.inf)), _FINITE, _FINITE,
+                          _FINITE), min_size=1, max_size=5))
+def test_optimize_records_match_json_dumps(rows):
+    rows = [("inf" if k == math.inf else k, alpha, eta, c) for k, alpha, eta, c in rows]
+    dicts = [{"k": k, "alpha": alpha, "eta": eta, "c": c} for k, alpha, eta, c in rows]
+    assert "".join(cli._table("json", _OPTIMIZE_HEADER, rows)) == (
+        json.dumps(dicts, indent=2, sort_keys=True) + "\n")
+
+
 @st.composite
 def _list_reports(draw):
     """A header and rows: the compare and optimize tables with their own
@@ -296,7 +316,7 @@ def _list_reports(draw):
     return header, draw(st.lists(st.tuples(*columns), min_size=1, max_size=6))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(_list_reports())
 @example(_LONG_REPORT)
 def test_records_json_matches_json_dumps(report):
