@@ -204,35 +204,40 @@ def run_schedule(g: Geometry, schedule: Schedule) -> ReducedState:
     return s
 
 
-def _class_basis(g: Geometry, j2) -> tuple[float, float, float, float]:
-    """(c1, c2, cos(omega), sin(omega)) of the rotation picture.
+def _rotation_constants(g: Geometry) -> tuple[float, float, float, float]:
+    """(r0, r1, c1, r2*c2): the constants of the rotation picture that do
+    not depend on the counts.
 
     In the orthonormal class basis (target, in-block rest, outside), j1
     globals take the uniform state to (sin(phi), c1*cos(phi), c2*cos(phi))
     with phi = (2*j1+1)*theta1, c1**2 = (b-1)/(N-1) and c2**2 = (N-b)/(N-1);
     j2 locals then rotate the first two coordinates by omega = 2*j2*theta2.
+    The trailing global's third row is (r0, r1, r2) = (-2*so/N, 2*sb*so/N,
+    1 - 2/K), sb = sqrt(b-1), so = sqrt(N-b).
     """
     n, b = g.n_items, g.block_size
-    c1 = math.sqrt(b - 1) / math.sqrt(n - 1)
-    c2 = math.sqrt(n - b) / math.sqrt(n - 1)
-    omega = 2.0 * j2 * g.theta2
-    return c1, c2, math.cos(omega), math.sin(omega)
+    sb, so, sn = math.sqrt(b - 1), math.sqrt(n - b), math.sqrt(n - 1)
+    return (-2.0 * so / n, 2.0 * sb * so / n, sb / sn,
+            (1.0 - 2.0 * b / n) * (so / sn))
 
 
 def schedule_state(g: Geometry, schedule: Schedule) -> ReducedState:
     """Final state of ``schedule``, O(1) at any N and closer to exact than
     :func:`run_schedule`, whose rounding grows with the query count.
 
-    Globals and locals are :func:`_class_basis` in closed form, per item
-    (c1/sqrt(b-1) = c2/sqrt(N-b) = 1/sqrt(N-1), also for an empty class);
-    the trailing global is one literal :func:`apply_global`, which keeps
-    exactly vanishing amplitudes (N = 4, K = 2) at zero.  Raises
-    PrecisionError for an iteration count above 2**53.
+    Globals and locals are the rotation picture of
+    :func:`_rotation_constants` in closed form, per item (c1/sqrt(b-1) =
+    c2/sqrt(N-b) = 1/sqrt(N-1), also for an empty class); the trailing
+    global is one literal :func:`apply_global`, which keeps exactly
+    vanishing amplitudes (N = 4, K = 2) at zero.  Raises PrecisionError for
+    an iteration count above 2**53.
     """
     if schedule.j1 > MAX_ITEMS or schedule.j2 > MAX_ITEMS:
         raise PrecisionError("iteration counts above 2**53 are not supported")
     b = g.block_size
-    c1, _, cos_w, sin_w = _class_basis(g, schedule.j2)
+    c1 = _rotation_constants(g)[2]
+    omega = 2.0 * schedule.j2 * g.theta2
+    cos_w, sin_w = math.cos(omega), math.sin(omega)
     phi = (2 * schedule.j1 + 1) * g.theta1
     sin_p, cos_p = math.sin(phi), math.cos(phi)
     rest = cos_p / math.sqrt(g.n_items - 1)
@@ -244,19 +249,16 @@ def schedule_state(g: Geometry, schedule: Schedule) -> ReducedState:
     return apply_global(s, g) if schedule.trailing_global else s
 
 
-def _outside_coefficients(g: Geometry, j2) -> tuple[float, float]:
-    """(P, Q) of :func:`_outside_at` for the local count ``j2``.
-
-    After the globals and locals of :func:`_class_basis`, the trailing
-    global's third row (-2*so/N, 2*sb*so/N, 1 - 2/K), sb = sqrt(b-1),
-    so = sqrt(N-b), gives the outside amplitude.
+def _outside_coefficients(g: Geometry, j2, constants=None) -> tuple[float, float]:
+    """(P, Q) of :func:`_outside_at` for the local count ``j2``: the
+    trailing global's third row applied to the state after the globals
+    and locals (see :func:`_rotation_constants`, whose value for ``g`` a
+    caller may pass as ``constants``).
     """
-    n, b = g.n_items, g.block_size
-    sb, so = math.sqrt(b - 1), math.sqrt(n - b)
-    r0, r1, r2 = -2.0 * so / n, 2.0 * sb * so / n, 1.0 - 2.0 * b / n
-    c1, c2, cos_w, sin_w = _class_basis(g, j2)
-    return (r0 * cos_w - r1 * sin_w,
-            c1 * (r0 * sin_w + r1 * cos_w) + r2 * c2)
+    r0, r1, c1, r2c2 = constants or _rotation_constants(g)
+    omega = 2.0 * j2 * g.theta2
+    cos_w, sin_w = math.cos(omega), math.sin(omega)
+    return (r0 * cos_w - r1 * sin_w, c1 * (r0 * sin_w + r1 * cos_w) + r2c2)
 
 
 def _outside_at(g: Geometry, coeffs: tuple[float, float], j1) -> float:

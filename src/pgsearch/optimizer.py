@@ -39,6 +39,7 @@ from .model import (
     Schedule,
     _outside_at,
     _outside_coefficients,
+    _rotation_constants,
     block_success_probability,
     schedule_state,
 )
@@ -169,11 +170,11 @@ def asymptotic_schedule(g: Geometry) -> Schedule:
 _BAND = 32 * 2.0**-52
 
 
-def _first_feasible_j1(
-    g: Geometry, j2: int, cap: int, threshold: float
-) -> int | None:
-    """Smallest j1 <= ``cap`` whose candidate (j1, j2) reaches
-    ``threshold``, or None.
+def _row_search(g: Geometry, threshold: float):
+    """``first_feasible_j1(j2, cap)`` for ``g`` and ``threshold``: the
+    smallest j1 <= ``cap`` whose candidate (j1, j2) reaches ``threshold``,
+    or None.  What every row shares, :func:`_rotation_constants` and the
+    band around the threshold, is computed here, once per search.
 
     With (P, Q) = R*(cos(delta), sin(delta)) the outside amplitude is
     R*sin(phi + delta), so the candidates that are not surely infeasible
@@ -184,36 +185,44 @@ def _first_feasible_j1(
     A candidate within the band of the threshold is decided by
     :func:`schedule_state`, which is what "reaches" means.
     """
-    coeffs = _outside_coefficients(g, j2)
+    constants = _rotation_constants(g)
     lo, hi = threshold - _BAND, threshold + _BAND
-    radius, amp = math.sqrt(1.0 - lo), math.hypot(*coeffs)
-    half = math.asin(radius / amp) if radius < amp else math.pi / 2
-    delta = math.atan2(coeffs[1], coeffs[0])
-    theta1 = g.theta1
-    nxt = 0  # first j1 not examined yet
-    m = math.floor((theta1 + delta - half) / math.pi)
-    while nxt <= cap:
-        start = math.ceil(((m * math.pi - half - delta) / theta1 - 1.0) / 2.0)
-        if start > cap + 1:
-            break
-        j1 = min(max(nxt, start), cap + 1)
-        while j1 > nxt:
-            a = _outside_at(g, coeffs, j1 - 1)
-            if 1.0 - a * a < lo:
+    radius = math.sqrt(1.0 - lo)
+    theta1, pi = g.theta1, math.pi
+    asin, atan2, ceil, floor, hypot = (
+        math.asin, math.atan2, math.ceil, math.floor, math.hypot)
+
+    def first_feasible_j1(j2: int, cap: int) -> int | None:
+        coeffs = _outside_coefficients(g, j2, constants)
+        amp = hypot(*coeffs)
+        half = asin(radius / amp) if radius < amp else pi / 2
+        delta = atan2(coeffs[1], coeffs[0])
+        nxt = 0  # first j1 not examined yet
+        m = floor((theta1 + delta - half) / pi)
+        while nxt <= cap:
+            start = ceil(((m * pi - half - delta) / theta1 - 1.0) / 2.0)
+            if start > cap + 1:
                 break
-            j1 -= 1
-        while j1 <= cap:
-            a = _outside_at(g, coeffs, j1)
-            p = 1.0 - a * a
-            if p >= hi or (p >= lo and block_success_probability(
-                    schedule_state(g, Schedule(j1, j2)), g) >= threshold):
-                return j1
-            j1 += 1
-            if p < lo and (2 * j1 - 1) * theta1 + delta > m * math.pi:
-                break  # past this window
-        nxt = j1
-        m += 1
-    return None
+            j1 = min(max(nxt, start), cap + 1)
+            while j1 > nxt:
+                a = _outside_at(g, coeffs, j1 - 1)
+                if 1.0 - a * a < lo:
+                    break
+                j1 -= 1
+            while j1 <= cap:
+                a = _outside_at(g, coeffs, j1)
+                p = 1.0 - a * a
+                if p >= hi or (p >= lo and block_success_probability(
+                        schedule_state(g, Schedule(j1, j2)), g) >= threshold):
+                    return j1
+                j1 += 1
+                if p < lo and (2 * j1 - 1) * theta1 + delta > m * pi:
+                    break  # past this window
+            nxt = j1
+            m += 1
+        return None
+
+    return first_feasible_j1
 
 
 def optimal_exact_schedule(
@@ -230,12 +239,12 @@ def optimal_exact_schedule(
     No state is stepped: for each j2 the outside amplitude after the
     trailing global (:func:`outside_amplitude`) is a sinusoid in
     phi = (2*j1+1)*theta1, so the row's first adequate j1 comes from an arcsin (see
-    :func:`_first_feasible_j1`) at O(1) cost.  The closed form decides a
+    :func:`_row_search`) at O(1) cost.  The closed form decides a
     candidate only when its p lies outside :data:`_BAND` of the threshold;
     inside it :func:`schedule_state` decides.  The row of the asymptotic
-    j2 goes first.  Its winner caps j1 in every other row, and the scan
-    over j2 stops once j2 + 1 queries can no longer beat it, so O(sqrt(b))
-    rows are searched.
+    j2 goes first, and only then.  Its winner caps j1 in every other row,
+    and the scan over j2 stops once j2 + 1 queries can no longer beat it,
+    so O(sqrt(b)) rows are searched.
     """
     _check_k(g.n_blocks)
     if not 0.0 < success_threshold < 1.0:
@@ -244,15 +253,17 @@ def optimal_exact_schedule(
     j1_max = math.ceil(math.pi * math.sqrt(g.n_items) / 4.0)
     j2_max = math.ceil(math.pi * math.sqrt(g.block_size) / 2.0)
 
-    best = None
-    for j2 in itertools.chain((asymptotic_schedule(g).j2,), range(j2_max + 1)):
-        if best is None:
-            cap = j1_max
-        elif (j2 + 1, j2) >= (best.queries, best.j2):
-            break
-        else:  # largest j1 whose key (queries, j2, j1) beats the best's
+    first_feasible_j1 = _row_search(g, success_threshold)
+    best, cap = None, j1_max
+    first = asymptotic_schedule(g).j2
+    for j2 in itertools.chain((first,), range(first),
+                              range(first + 1, j2_max + 1)):
+        if best is not None:
+            # largest j1 whose key (queries, j2, j1) beats the best's
             cap = min(j1_max, best.queries - j2 - 1 - (j2 >= best.j2))
-        j1 = _first_feasible_j1(g, j2, cap, success_threshold)
+            if cap < 0:  # here and in every later row
+                break
+        j1 = first_feasible_j1(j2, cap)
         if j1 is not None:
             best = Schedule(j1, j2, trailing_global=True)
     if best is None:

@@ -42,6 +42,20 @@ def run_cli(argv, capsys):
     return code, out, err
 
 
+def _assert_same_report(got, expected, name="report"):
+    """``got == expected`` for a whole report.  A mismatch fails with the two
+    lengths and the first differing offset, not with pytest's line diff,
+    which takes minutes on a report of thousands of rows."""
+    if got == expected:
+        return
+    at = next((i for i, (a, b) in enumerate(zip(got, expected)) if a != b),
+              min(len(got), len(expected)))
+    pytest.fail(f"{name} differs: lengths {len(got)} and "
+                f"{len(expected)}, first at offset {at}: "
+                f"{got[at:at + 60]!r} against {expected[at:at + 60]!r}",
+                pytrace=False)
+
+
 # Byte goldens written by the CLI before its renderer was rewritten: stdout
 # of every subcommand in every format, and the exit code and last stderr
 # line of the error paths.
@@ -55,7 +69,7 @@ def test_cli_matches_golden(case_id, capsys):
     code, out, err = run_cli(case["argv"], capsys)
     assert code == case["code"]
     expected = (GOLDEN_DIR / case_id).read_bytes() if code == 0 else b""
-    assert out.encode() == expected
+    _assert_same_report(out.encode(), expected)
     assert (err.splitlines() or [""])[-1] == case["stderr_last_line"]
 
 
@@ -93,7 +107,7 @@ def test_reduced_commands_need_no_numpy():
         case = GOLDEN_CASES[case_id]
         assert code == case["code"], case_id
         expected = (GOLDEN_DIR / case_id).read_bytes() if code == 0 else b""
-        assert out.encode() == expected, case_id
+        _assert_same_report(out.encode(), expected, case_id)
         assert err_last == case["stderr_last_line"], case_id
 
 
@@ -826,7 +840,7 @@ _RANDOM_LO = random.Random(2005).randint(2, MAX_TABLE_K - 1999)
 def test_compare_matches_per_k_reference(spec, fmt, capsys):
     code, out, err = run_cli(["compare", "--k", spec, "--format", fmt], capsys)
     assert (code, err) == (0, "")
-    assert out == _reference_compare(spec, fmt)
+    _assert_same_report(out, _reference_compare(spec, fmt))
 
 
 def _reference_optimize(spec: str, fmt: str) -> str:
@@ -847,7 +861,7 @@ def _reference_optimize(spec: str, fmt: str) -> str:
 def test_optimize_matches_per_k_reference(spec, fmt, capsys):
     code, out, err = run_cli(["optimize", "--k", spec, "--format", fmt], capsys)
     assert (code, err) == (0, "")
-    assert out == _reference_optimize(spec, fmt)
+    _assert_same_report(out, _reference_optimize(spec, fmt))
 
 
 # ------------------------------------------------------------------- bound
@@ -998,7 +1012,7 @@ def test_parser_is_reused_after_refused_requests(capsys):
         code, out, _ = run_cli(case["argv"], capsys)
         assert code == case["code"]
         expected = (GOLDEN_DIR / case_id).read_bytes() if code == 0 else b""
-        assert out.encode() == expected
+        _assert_same_report(out.encode(), expected, case_id)
 
 
 #: The goldens spelled in forms only argparse parses, or refused while

@@ -465,6 +465,49 @@ def test_outside_amplitude_matches_schedule_state():
                 8 * 2.0**-52), (n, g.n_blocks, sch)
 
 
+@pytest.mark.parametrize("n", [2, 3, 12, 4096, 2**40])
+def test_schedule_state_at_single_item_blocks(n):
+    """K = N with local steps: the weightless amp_ntt takes the b -> 1 limit
+    -2*j2*cos(omega) of sin(omega)/sqrt(b-1), and every amplitude matches
+    the 50-digit reflections."""
+    g = make_geometry(n, n)
+    for sch in (Schedule(0, 1), Schedule(1, 2), Schedule(2, 3, False),
+                Schedule(0, 7, False)):
+        amp_err, p_err = _state_errors(g, sch)
+        assert amp_err <= STATE_TOL and p_err <= STATE_TOL, (n, sch)
+
+
+def _per_row_coefficients(g, j2):
+    """(P, Q) as each j2 row once computed it, every constant included."""
+    n, b = g.n_items, g.block_size
+    sb, so = math.sqrt(b - 1), math.sqrt(n - b)
+    r0, r1, r2 = -2.0 * so / n, 2.0 * sb * so / n, 1.0 - 2.0 * b / n
+    c1 = math.sqrt(b - 1) / math.sqrt(n - 1)
+    c2 = math.sqrt(n - b) / math.sqrt(n - 1)
+    omega = 2.0 * j2 * g.theta2
+    cos_w, sin_w = math.cos(omega), math.sin(omega)
+    return (r0 * cos_w - r1 * sin_w, c1 * (r0 * sin_w + r1 * cos_w) + r2 * c2)
+
+
+@pytest.mark.parametrize("n, k", [(1024, 2), (2**30, 2), (64, 64), (3, 3),
+                                  (1155, 5), (3 * 2**30, 3), (2**53, 2),
+                                  (2**53, 1024), (2**53, 2**53)])
+def test_shared_constants_keep_the_per_row_bits(n, k):
+    """(P, Q) from the geometry's constants, passed in or not, equal the
+    per-row formula bit for bit, and so does schedule_state's c1."""
+    g = make_geometry(n, k)
+    b = g.block_size
+    constants = model._rotation_constants(g)
+    assert constants[2] == math.sqrt(b - 1) / math.sqrt(n - 1)
+    rng = random.Random(n + k)
+    j2_max = math.ceil(math.pi * math.sqrt(b) / 2.0)
+    for j2 in [*range(min(j2_max, 64) + 1), j2_max, 0.5, 7.25,
+               *(rng.randint(0, j2_max) for _ in range(64))]:
+        expected = _per_row_coefficients(g, j2)
+        assert model._outside_coefficients(g, j2) == expected, j2
+        assert model._outside_coefficients(g, j2, constants) == expected, j2
+
+
 def test_schedule_state_takes_one_literal_step(monkeypatch):
     """The trailing global is the only iteration applied, at any N."""
     calls = []

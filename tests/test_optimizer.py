@@ -462,19 +462,28 @@ def _count_calls(monkeypatch, module, names):
 
 
 def test_exact_schedule_evaluation_count_is_bounded(monkeypatch):
-    """Each j2 row costs one (P, Q) and a handful of closed-form candidates;
-    scanning the box, or stepping states through it, would take thousands."""
+    """Each j2 row, searched at most once, costs one (P, Q) and a handful of
+    closed-form candidates; scanning the box, or stepping states through
+    it, would take thousands.  The geometry's constants are computed once
+    per search, not per row."""
     counts = _count_calls(monkeypatch, pgsearch.optimizer, (
-        "_outside_coefficients", "_outside_at", "schedule_state"))
+        "_rotation_constants", "_outside_at", "schedule_state"))
+    in_model = _count_calls(monkeypatch, pgsearch.model, ("_rotation_constants",))
+    searched, coefficients = [], pgsearch.optimizer._outside_coefficients
+    monkeypatch.setattr(pgsearch.optimizer, "_outside_coefficients",
+                        lambda g_, j2, *rest: searched.append(j2)
+                        or coefficients(g_, j2, *rest))
     g = make_geometry(4096, 4)
     j1_max = math.ceil(math.pi * math.sqrt(g.n_items) / 4.0)
     j2_max = math.ceil(math.pi * math.sqrt(g.block_size) / 2.0)
     assert (j1_max, j2_max) == (51, 51)
     assert optimal_exact_schedule(g, 0.99) == Schedule(22, 14)
-    rows = counts["_outside_coefficients"]
-    assert 0 < rows <= j2_max + 2
+    rows = len(searched)
+    assert 0 < rows <= j2_max + 1
+    assert len(set(searched)) == rows
     assert counts["_outside_at"] + counts["schedule_state"] <= 3 * rows
     assert counts["schedule_state"] == 0
+    assert (counts["_rotation_constants"], in_model["_rotation_constants"]) == (1, 0)
 
 
 @pytest.mark.parametrize("n, k", [(1024, 4), (4096, 4), (1155, 3), (256, 256),
@@ -520,9 +529,10 @@ def test_rows_skip_only_surely_infeasible_candidates(n, k, threshold, monkeypatc
         return outside_at(g_, coeffs, j1)
 
     monkeypatch.setattr(pgsearch.optimizer, "_outside_at", recording)
+    first_feasible_j1 = pgsearch.optimizer._row_search(g, threshold)
     for j2 in range(j2_max + 1):
         evaluated.clear()
-        got = pgsearch.optimizer._first_feasible_j1(g, j2, j1_max, threshold)
+        got = first_feasible_j1(j2, j1_max)
         feasible = [
             j1 for j1 in range(j1_max + 1)
             if block_success_probability(schedule_state(g, Schedule(j1, j2)), g)
