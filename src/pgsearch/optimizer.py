@@ -170,11 +170,12 @@ def asymptotic_schedule(g: Geometry) -> Schedule:
 _BAND = 32 * 2.0**-52
 
 
-def _row_search(g: Geometry, threshold: float):
-    """``first_feasible_j1(j2, cap)`` for ``g`` and ``threshold``: the
-    smallest j1 <= ``cap`` whose candidate (j1, j2) reaches ``threshold``,
-    or None.  What every row shares, :func:`_rotation_constants` and the
-    band around the threshold, is computed here, once per search.
+def _scan(g: Geometry, threshold: float, j1_max: int, j2s):
+    """The cheapest (j1, j2), j1 <= ``j1_max`` and j2 in ``j2s``, whose block
+    success reaches ``threshold``, or None.  The rows are searched in the
+    order given; the search stops at the first row where j1 = 0 cannot beat
+    the best, so ``j2s`` must ascend after its first row.  What every row
+    shares, :func:`_rotation_constants` and the band, is computed once.
 
     With (P, Q) = R*(cos(delta), sin(delta)) the outside amplitude is
     R*sin(phi + delta), so the candidates that are not surely infeasible
@@ -191,9 +192,17 @@ def _row_search(g: Geometry, threshold: float):
     theta1, pi = g.theta1, math.pi
     asin, atan2, ceil, floor, hypot = (
         math.asin, math.atan2, math.ceil, math.floor, math.hypot)
-
-    def first_feasible_j1(j2: int, cap: int) -> int | None:
-        coeffs = _outside_coefficients(g, j2, constants)
+    coefficients, outside_at = _outside_coefficients, _outside_at
+    bj1 = bj2 = None
+    cap = j1_max  # largest j1 whose key beats the best's
+    for j2 in j2s:
+        if bj2 is not None:
+            cap = bj1 + bj2 - j2 - (j2 >= bj2)
+            if cap > j1_max:
+                cap = j1_max
+            elif cap < 0:  # here and in every later row
+                break
+        coeffs = coefficients(g, j2, constants)
         amp = hypot(*coeffs)
         half = asin(radius / amp) if radius < amp else pi / 2
         delta = atan2(coeffs[1], coeffs[0])
@@ -203,26 +212,25 @@ def _row_search(g: Geometry, threshold: float):
             start = ceil(((m * pi - half - delta) / theta1 - 1.0) / 2.0)
             if start > cap + 1:
                 break
-            j1 = min(max(nxt, start), cap + 1)
+            j1 = start if start > nxt else nxt
             while j1 > nxt:
-                a = _outside_at(g, coeffs, j1 - 1)
+                a = outside_at(g, coeffs, j1 - 1)
                 if 1.0 - a * a < lo:
                     break
                 j1 -= 1
             while j1 <= cap:
-                a = _outside_at(g, coeffs, j1)
+                a = outside_at(g, coeffs, j1)
                 p = 1.0 - a * a
                 if p >= hi or (p >= lo and block_success_probability(
                         schedule_state(g, Schedule(j1, j2)), g) >= threshold):
-                    return j1
+                    bj1, bj2, cap = j1, j2, j1 - 1  # nothing after beats it
+                    break
                 j1 += 1
                 if p < lo and (2 * j1 - 1) * theta1 + delta > m * pi:
                     break  # past this window
             nxt = j1
             m += 1
-        return None
-
-    return first_feasible_j1
+    return None if bj2 is None else (bj1, bj2)
 
 
 def optimal_exact_schedule(
@@ -238,8 +246,8 @@ def optimal_exact_schedule(
 
     No state is stepped: for each j2 the outside amplitude after the
     trailing global (:func:`outside_amplitude`) is a sinusoid in
-    phi = (2*j1+1)*theta1, so the row's first adequate j1 comes from an arcsin (see
-    :func:`_row_search`) at O(1) cost.  The closed form decides a
+    phi = (2*j1+1)*theta1, so the row's first adequate j1 comes from an
+    arcsin (see :func:`_scan`) at O(1) cost.  The closed form decides a
     candidate only when its p lies outside :data:`_BAND` of the threshold;
     inside it :func:`schedule_state` decides.  The row of the asymptotic
     j2 goes first, and only then.  Its winner caps j1 in every other row,
@@ -253,22 +261,12 @@ def optimal_exact_schedule(
     j1_max = math.ceil(math.pi * math.sqrt(g.n_items) / 4.0)
     j2_max = math.ceil(math.pi * math.sqrt(g.block_size) / 2.0)
 
-    first_feasible_j1 = _row_search(g, success_threshold)
-    best, cap = None, j1_max
     first = asymptotic_schedule(g).j2
-    for j2 in itertools.chain((first,), range(first),
-                              range(first + 1, j2_max + 1)):
-        if best is not None:
-            # largest j1 whose key (queries, j2, j1) beats the best's
-            cap = min(j1_max, best.queries - j2 - 1 - (j2 >= best.j2))
-            if cap < 0:  # here and in every later row
-                break
-        j1 = first_feasible_j1(j2, cap)
-        if j1 is not None:
-            best = Schedule(j1, j2, trailing_global=True)
+    best = _scan(g, success_threshold, j1_max, itertools.chain(
+        (first,), range(first), range(first + 1, j2_max + 1)))
     if best is None:
         raise InfeasibleError(
             f"no schedule with j1 <= {j1_max}, j2 <= {j2_max} reaches "
             f"block success {success_threshold}"
         )
-    return best
+    return Schedule(*best, trailing_global=True)

@@ -529,18 +529,17 @@ def test_rows_skip_only_surely_infeasible_candidates(n, k, threshold, monkeypatc
         return outside_at(g_, coeffs, j1)
 
     monkeypatch.setattr(pgsearch.optimizer, "_outside_at", recording)
-    first_feasible_j1 = pgsearch.optimizer._row_search(g, threshold)
     for j2 in range(j2_max + 1):
         evaluated.clear()
-        got = first_feasible_j1(j2, j1_max)
+        got = pgsearch.optimizer._scan(g, threshold, j1_max, [j2])
         feasible = [
             j1 for j1 in range(j1_max + 1)
             if block_success_probability(schedule_state(g, Schedule(j1, j2)), g)
             >= threshold
         ]
-        assert got == (feasible[0] if feasible else None)
+        assert got == ((feasible[0], j2) if feasible else None)
         low = threshold - pgsearch.optimizer._BAND
-        skipped = set(range(j1_max + 1 if got is None else got)) - evaluated
+        skipped = set(range(j1_max + 1 if got is None else got[0])) - evaluated
         assert all(_closed_form_success(g, j1, j2) < low for j1 in skipped)
 
 
