@@ -263,11 +263,27 @@ _FLAT = st.one_of(st.dictionaries(_JSON_KEYS, _JSON_SCALARS, max_size=5),
 _DOCS = st.dictionaries(_JSON_KEYS, st.one_of(
     _JSON_SCALARS, _FLAT, st.lists(_FLAT, max_size=3),
     st.dictionaries(_JSON_KEYS, _FLAT, max_size=3),
+    st.lists(st.lists(_FLAT, max_size=3), max_size=3),
+    st.dictionaries(_JSON_KEYS, st.lists(st.dictionaries(_JSON_KEYS, _FLAT, max_size=3),
+                                         max_size=3), max_size=3),
 ), max_size=6)
 
 
 @settings(max_examples=250, deadline=None)
 @given(_DOCS)
+@example([{"k": 1}, [2, "x", None], [], {}])
+@example([math.nan, math.inf, -math.inf])
+@example({"nan": math.nan, "inf": math.inf, "-inf": -math.inf,
+          "in": [math.nan, {"a": -math.inf, "b": [math.inf]}, [[math.nan]]]})
+@example({"z": -0.0, "tiny": 5e-324, "big": 1e16, "in": [[-0.0, 5e-324], {"b": 1e16}]})
+@example({"a": 2**64 + 1, "b": [-(2**70), {"c": 10**30 + 1}]})
+@example({"a": [True, False, None], "b": [[True], {"c": [False, None]}]})
+@example({})
+@example([])
+@example({"d": {}, "l": [], "ld": [{}, [], [{}, []]],
+          "dd": {"e": [[], {}], "f": {"g": {}, "h": [[]]}}})
+@example({"caf\u00e9": "\u65e5\u672c", "\x00\x1f\x7f": "tab\t nl\n \"q\" \\",
+          "\u2028": ["\u2028\u2029", {"\U0001f600": "\ud800"}]})
 def test_render_json_dicts_match_json_dumps(doc):
     assert cli._render("json", [], [], doc) == _reference_render("json", [], [], doc)
 
@@ -338,6 +354,22 @@ def test_records_json_matches_json_dumps(report):
     dicts = [dict(zip(map(str.lower, header), row)) for row in rows]
     assert "".join(cli._table("json", header, rows)) == (
         json.dumps(dicts, indent=2, sort_keys=True) + "\n")
+
+
+def _no_pure_python_json(*args, **kwargs):
+    raise AssertionError("json's pure-Python encoder was entered")
+
+
+@pytest.mark.parametrize("case_id", sorted(c for c in GOLDEN_CASES if c.endswith(".json")))
+def test_json_reports_skip_json_pure_python_encoder(case_id, capsys, monkeypatch):
+    """No JSON report enters json's pure-Python encoder, which json.dumps
+    runs for every indented document before Python 3.13."""
+    monkeypatch.setattr(json.encoder, "_make_iterencode", _no_pure_python_json)
+    with pytest.raises(AssertionError):  # the guard is the name json calls
+        json.JSONEncoder(indent=2).iterencode({})
+    code, out, _ = run_cli(GOLDEN_CASES[case_id]["argv"], capsys)
+    assert code == 0
+    _assert_same_report(out.encode(), (GOLDEN_DIR / case_id).read_bytes(), case_id)
 
 
 def test_render_json_shapes_the_cli_builds():
