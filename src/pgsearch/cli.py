@@ -129,6 +129,9 @@ def _int_at_least(lo: int):
     return parse
 
 
+#: Rows in one list of a list report, and block counts in one compare table.
+_CHUNK = 4096
+
 #: The format() spec of a text cell, by value type: 6 significant digits
 #: for floats, str() for ints and strings.
 _TEXT_SPECS = {float: ".6g", int: "", str: ""}
@@ -193,16 +196,16 @@ def _fixed_mmap_threshold() -> None:
 
 
 def _chunks(rows):
-    """Number and yield ``rows`` in lists of 4096; a report that runs past
+    """Number and yield ``rows`` in lists of ``_CHUNK``; a report that runs past
     one list first fixes the mmap threshold (:func:`_fixed_mmap_threshold`)."""
-    for i, chunk in enumerate(iter(lambda: [*itertools.islice(rows, 4096)], [])):
+    for i, chunk in enumerate(iter(lambda: [*itertools.islice(rows, _CHUNK)], [])):
         if i == 1:
             _fixed_mmap_threshold()
         yield i, chunk
 
 
 def _table(fmt: str, header: list[str], rows):
-    """Yield the table of ``rows`` under ``header``, at most 4096 rows a
+    """Yield the table of ``rows`` under ``header``, at most ``_CHUNK`` rows a
     piece: as text, CSV, or the JSON list that json.dumps writes of the
     records ``dict(zip(map(str.lower, header), row))`` with indent=2 and
     sorted keys.  Cells are bools, ints, floats and strings, made into text
@@ -229,7 +232,7 @@ def _table(fmt: str, header: list[str], rows):
         # Cells row after row, regrouped into rows by zip(*[iter(values)] * width).
         values = [*itertools.chain.from_iterable(chunk)]
         if bool in set(map(type, values)):
-            values = [("true" if v else "false") if type(v) is bool else v for v in values]
+            values = [_JSON_WORDS(v) if type(v) is bool else v for v in values]
         if fmt == "csv":  # csv.writer writes ints and strings by str(), floats by repr()
             csv.writer(sink := io.StringIO(), lineterminator="\n").writerows(
                 zip(*[iter(values)] * width))
@@ -239,7 +242,7 @@ def _table(fmt: str, header: list[str], rows):
         widths = [*map(max, widths, [max(map(len, values[i::width])) for i in range(width)])]
         # Kept until all widths are known; a full chunk, which more may follow,
         # as one string, unless a cell has "\0".
-        if len(chunk) == 4096 and (j := "\0".join(values)).count("\0") < len(values):
+        if len(chunk) == _CHUNK and (j := "\0".join(values)).count("\0") < len(values):
             values = j
         kept.append(values)
     template = "  ".join([f"{{:<{w}}}" for w in widths])
@@ -308,9 +311,9 @@ def cmd_compare(args):
         _check_table_range(part[0], part[0])
         k = min(part[-1], max(part[0], MAX_TABLE_K + 1))  # first K past the table, if any
         _check_table_range(k, k)
-    # Tables of at most 4096 K, each built as the writer takes its rows.
-    tables = (comparison_table(lo, min(lo + 4095, part[-1]))
-              for part in args.k for lo in part[::4096])
+    # Tables of at most _CHUNK K, each built as the writer takes its rows.
+    tables = (comparison_table(lo, min(lo + _CHUNK - 1, part[-1]))
+              for part in args.k for lo in part[::_CHUNK])
     header = ["K", "s_coeff", "r_coeff", "p_interrupted", "c", "note"]
     return _table(args.format, header, itertools.chain.from_iterable(tables))
 

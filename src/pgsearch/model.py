@@ -145,8 +145,7 @@ def uniform_state(g: Geometry) -> ReducedState:
 
 def norm_squared(s: ReducedState, g: Geometry) -> float:
     """Class-weighted squared norm of ``s``."""
-    b, n = g.block_size, g.n_items
-    return s.amp_target**2 + (b - 1) * s.amp_ntt**2 + (n - b) * s.amp_nb**2
+    return block_success_probability(s, g) + (g.n_items - g.block_size) * s.amp_nb**2
 
 
 def _require_normalized(s: ReducedState, g: Geometry) -> None:
@@ -224,6 +223,9 @@ def _rotation_constants(g: Geometry) -> tuple[float, float, float, float]:
 def schedule_state(g: Geometry, schedule: Schedule) -> ReducedState:
     """Final state of ``schedule``, O(1) at any N and closer to exact than
     :func:`run_schedule`, whose rounding grows with the query count.
+    Inside the exact search box the block success is within about 4e-15;
+    beyond it the float phases lose digits as the counts grow (N = 1024,
+    K = 4: 3.0e-12 at 1.6e7, 2.1e-5 at 1.6e13 and 7.2e-2 at 2**53).
 
     Globals and locals are the rotation picture of
     :func:`_rotation_constants` in closed form, per item (c1/sqrt(b-1) =

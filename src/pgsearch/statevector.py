@@ -166,23 +166,15 @@ def _each(fn, n: int, least: int = 1) -> list:
     return results
 
 
-def _leaves(n: int, lo: int = 0) -> list[tuple[int, int]]:
-    """The ``(start, stop)`` leaves, in order, of at most ``_TILE`` items
-    that numpy's pairwise summation cuts ``range(lo, lo + n)`` into."""
+def _tree(n: int, leaf, lo: int = 0):
+    """``leaf(start, stop)`` on each leaf of at most ``_TILE`` items that
+    numpy's pairwise summation cuts ``range(lo, lo + n)`` into, in order,
+    added up numpy's tree by ``+``: leaf lists join into the list of leaves,
+    and leaf sums add up bit-identically to ``np.add.reduce`` of the run."""
     if n <= _TILE:
-        return [(lo, lo + n)]
+        return leaf(lo, lo + n)
     half = n // 2 - (n // 2) % 8
-    return _leaves(half, lo) + _leaves(n - half, lo + half)
-
-
-def _tree_sum(n: int, sums) -> float:
-    """Add the leaf sums of ``_leaves(n)`` (an iterator, in order) up the
-    tree numpy's pairwise summation adds them, so the total is
-    bit-identical to ``np.add.reduce`` of the whole run."""
-    if n <= _TILE:
-        return next(sums)
-    half = n // 2 - (n // 2) % 8
-    return _tree_sum(half, sums) + _tree_sum(n - half, sums)
+    return _tree(half, leaf, lo) + _tree(n - half, leaf, lo + half)
 
 
 def _rows(run: np.ndarray, t: int, width: int, count: int, split: bool = False) -> None:
@@ -203,7 +195,7 @@ def _rows(run: np.ndarray, t: int, width: int, count: int, split: bool = False) 
             m *= 2.0
             np.subtract(m, rows, out=rows)
         return
-    cuts = _leaves(width)
+    cuts = _tree(width, lambda lo, hi: [(lo, hi)])
     spans = [(row + lo, row + hi) for row in range(0, run.size, width) for lo, hi in cuts]
     segs = [run[lo:hi] for lo, hi in spans]
     flips = [t - lo for lo, _ in spans]
@@ -223,7 +215,8 @@ def _rows(run: np.ndarray, t: int, width: int, count: int, split: bool = False) 
     least = _WIDE_LEAVES if split else len(segs)  # no pool unless split
     for _ in range(count):
         sums = iter(_each(sweep, len(segs), least))
-        row_means = [_tree_sum(width, sums) / width * 2.0 for _ in range(run.size // width)]
+        row_means = [_tree(width, lambda lo, hi: next(sums)) / width * 2.0
+                     for _ in range(run.size // width)]
         means = [m for m in row_means for _ in cuts]
     _each(reflect, len(segs), least)
 

@@ -39,7 +39,7 @@ from pgsearch import (
     uniform_state,
 )
 from pgsearch import statevector
-from pgsearch.statevector import _TILE, _leaves, _tree_sum
+from pgsearch.statevector import _TILE, _tree
 
 from test_model import _mp_final_state, _random_schedule
 
@@ -323,8 +323,8 @@ def test_small_states_start_no_thread():
 def test_numpy_sums_split_at_the_pairwise_tree_nodes():
     """The facts the tiled engine rests on.  A contiguous float64 sum of
     more than 128 items is the sum of its halves cut at
-    n//2 - (n//2) % 8, so the leaf sums of ``_leaves``, added up by
-    ``_tree_sum``, agree bit-for-bit with numpy's whole sum.  And each row of a 2-D array sums
+    n//2 - (n//2) % 8, so the leaf sums of ``_tree``'s leaves, added up
+    by ``_tree``, agree bit-for-bit with numpy's whole sum.  And each row of a 2-D array sums
     as that row alone, whatever the row count.  A numpy that changes
     either would change the engine's output bytes."""
     rng = np.random.default_rng(5)
@@ -337,8 +337,8 @@ def test_numpy_sums_split_at_the_pairwise_tree_nodes():
         if n > 128:
             half = n // 2 - (n // 2) % 8
             assert whole == np.add.reduce(a[:half]) + np.add.reduce(a[half:n]), n
-        leaf_sums = (np.add.reduce(a[lo:hi]) for lo, hi in _leaves(n))
-        assert _tree_sum(n, leaf_sums) == whole, n
+        leaf_sums = (np.add.reduce(a[lo:hi]) for lo, hi in _tree(n, lambda lo, hi: [(lo, hi)]))
+        assert _tree(n, lambda lo, hi: next(leaf_sums)) == whole, n
     for rows, width in [(1, 7), (3, 129), (64, 1000), (9, _TILE), (5, _TILE + 8),
                         (2, 3 * 10**5), (1, 2**20)]:
         x = a[: rows * width].reshape(rows, width)
