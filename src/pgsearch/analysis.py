@@ -110,12 +110,13 @@ def operating_range(p_threshold: float) -> OperatingRange:
 
     k_max = math.floor(3.0 / (1.0 - p_threshold))
 
-    # The exact endpoint is k_max or k_max - 1 up to the rounding of k_max,
-    # so a few integer steps from it reach the largest qualifying K.
+    # A qualifying K has (1-p)*K <= 3 - 1/(K-1), so K < 3/(1-p) - 1/3.  In
+    # floats 1 - p is exact for p >= 0.5 (below, 3/(1-p) < 6), and the
+    # quotient rounds by at most 1 (p = 1 - j*2**-53 with j >= 2; j = 1 gives
+    # 3*2**53 exactly), to an integer once its ulp reaches 1, so K <= k_max.
+    # Stepping down ends at K = 2 at the latest, where (K-2)**2 = 0.
     num, den = p_threshold.as_integer_ratio()
-    ke = max(2, k_max)
-    while (ke - 1) ** 2 * den <= num * (ke + 1) * ke:
-        ke += 1
+    ke = k_max
     while (ke - 2) ** 2 * den > num * ke * (ke - 1):
         ke -= 1
     return OperatingRange(3, k_max, ke)

@@ -181,8 +181,9 @@ def _scan(g: Geometry, threshold: float, j1_max: int, j2s):
     R*sin(phi + delta), so the candidates that are not surely infeasible
     (closed-form p >= threshold - band) lie in windows
     |phi + delta - m*pi| <= arcsin(sqrt(1 - threshold + band)/R).  Each
-    window's first j1 comes from that arcsin; the j1 below it is checked
-    directly, and the walk stays in the window until a candidate decides.
+    window's walk starts one j1 below the first that arcsin admits, a guard
+    against its rounding, or at the first j1 not examined yet if later, and
+    goes forward in the window until a candidate decides.
     A candidate within the band of the threshold is decided by
     :func:`schedule_state`, which is what "reaches" means.
     """
@@ -206,18 +207,12 @@ def _scan(g: Geometry, threshold: float, j1_max: int, j2s):
         amp = hypot(*coeffs)
         half = asin(radius / amp) if radius < amp else pi / 2
         delta = atan2(coeffs[1], coeffs[0])
-        nxt = 0  # first j1 not examined yet
+        j1 = 0  # first j1 not examined yet
         m = floor((theta1 + delta - half) / pi)
-        while nxt <= cap:
-            start = ceil(((m * pi - half - delta) / theta1 - 1.0) / 2.0)
-            if start > cap + 1:
-                break
-            j1 = start if start > nxt else nxt
-            while j1 > nxt:
-                a = outside_at(g, coeffs, j1 - 1)
-                if 1.0 - a * a < lo:
-                    break
-                j1 -= 1
+        while j1 <= cap:
+            start = ceil(((m * pi - half - delta) / theta1 - 1.0) / 2.0) - 1
+            if start > j1:  # a start past cap ends the row
+                j1 = start
             while j1 <= cap:
                 a = outside_at(g, coeffs, j1)
                 p = 1.0 - a * a
@@ -228,7 +223,6 @@ def _scan(g: Geometry, threshold: float, j1_max: int, j2s):
                 j1 += 1
                 if p < lo and (2 * j1 - 1) * theta1 + delta > m * pi:
                     break  # past this window
-            nxt = j1
             m += 1
     return None if bj2 is None else (bj1, bj2)
 

@@ -188,6 +188,16 @@ def test_operating_range_exact_endpoint_matches_rational_reference(p):
     assert operating_range(p).k_max_exact == _k_max_reference(p)
 
 
+@pytest.mark.parametrize("p", [q for m in (4, 30, 300, 10**6, 10**12)
+                               for q in (math.nextafter(1 - 3 / m, 0), 1 - 3 / m,
+                                         math.nextafter(1 - 3 / m, 1))])
+def test_operating_range_exact_endpoint_where_3_over_1_minus_p_is_near_an_integer(p):
+    """p = 1 - 3/M and its float neighbours: floor(3/(1-p)) sits on M or
+    next to it, and k_max still bounds the exact endpoint from above."""
+    r = operating_range(p)
+    assert r.k_max_exact == _k_max_reference(p) <= r.k_max
+
+
 @pytest.mark.parametrize(
     "p, expected",
     [(1 - 1e-9, 3000000084), (1 - 1e-12, 3000066366628),

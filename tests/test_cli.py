@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import csv
+import ctypes
 import io
 import json
 import math
@@ -894,6 +895,19 @@ def test_optimize_matches_per_k_reference(spec, fmt, capsys):
     code, out, err = run_cli(["optimize", "--k", spec, "--format", fmt], capsys)
     assert (code, err) == (0, "")
     _assert_same_report(out, _reference_optimize(spec, fmt))
+
+
+def _no_gnu_libc_version(name):
+    raise ValueError("unrecognized configuration name")
+
+
+@pytest.mark.parametrize("confstr", [lambda name: "musl 1.2", _no_gnu_libc_version])
+def test_mmap_threshold_is_left_alone_off_glibc(confstr, monkeypatch):
+    """Another C library, or none that names a glibc version: the hook
+    returns before it loads the C library."""
+    monkeypatch.setattr(os, "confstr", confstr)
+    monkeypatch.setattr(ctypes, "CDLL", lambda *args: pytest.fail("reached ctypes"))
+    assert cli._fixed_mmap_threshold.__wrapped__() is None
 
 
 # ------------------------------------------------------------------- bound

@@ -543,6 +543,34 @@ def test_rows_skip_only_surely_infeasible_candidates(n, k, threshold, monkeypatc
         assert all(_closed_form_success(g, j1, j2) < low for j1 in skipped)
 
 
+@pytest.mark.parametrize("n", [2**30, 2**40, 2**53])
+@pytest.mark.parametrize("k", [2, 4, 1024])
+def test_windows_start_past_surely_infeasible_candidates_at_large_n(n, k, monkeypatch):
+    """Far beyond a full row scan: in 16 sampled j2 rows, the j1 just below
+    each run of evaluated j1 (each window's walk) has closed-form p below
+    threshold - band, so the arcsin start skips no candidate."""
+    g = make_geometry(n, k)
+    j1_max = math.ceil(math.pi * math.sqrt(n) / 4.0)
+    j2_max = math.ceil(math.pi * math.sqrt(g.block_size) / 2.0)
+    evaluated = set()
+    outside_at = pgsearch.optimizer._outside_at
+
+    def recording(g_, coeffs, j1):
+        evaluated.add(j1)
+        return outside_at(g_, coeffs, j1)
+
+    monkeypatch.setattr(pgsearch.optimizer, "_outside_at", recording)
+    low = 0.99 - pgsearch.optimizer._BAND
+    checked = 0
+    for j2 in random.Random(n + k).sample(range(j2_max + 1), 16):
+        evaluated.clear()
+        pgsearch.optimizer._scan(g, 0.99, j1_max, [j2])
+        below = {j1 - 1 for j1 in evaluated} - evaluated - {-1}
+        assert all(_closed_form_success(g, j1, j2) < low for j1 in below), j2
+        checked += len(below)
+    assert checked  # some window started past j1 = 0
+
+
 def _closed_form_success(g, j1, j2):
     """Block success the optimizer's closed form gives candidate (j1, j2)."""
     a = outside_amplitude(g, j1, j2)

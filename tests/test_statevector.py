@@ -273,29 +273,34 @@ def test_workers_keep_no_reference_to_a_finished_state(monkeypatch):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 def test_forked_child_runs_after_a_threaded_run(monkeypatch):
-    """A forked child has none of the pool's threads; the engine must start
-    its own instead of counting on the parent's."""
-    monkeypatch.setattr(statevector, "_WORKERS", 2)
-    g, sch = make_geometry(2**19, 4), Schedule(2, 2, True)
-    want = sv_run_schedule(g, 77, sch).amplitudes
+    """A forked child has none of the pool's threads: it starts with an
+    empty pool (``_reset_pool``), starts its own threads and gets the
+    parent's bits."""
+    monkeypatch.setattr(statevector, "_WORKERS", 3)
+    g, sch = make_geometry(2**18, 4), Schedule(5, 3, True)
+    want = sv_run_schedule(g, 77, sch).amplitudes.tobytes()
     assert statevector._threads
+    read, write = os.pipe()
     pid = os.fork()
-    if pid == 0:  # the child: report by exit code only
-        code = 1
+    if pid == 0:  # the child: a short report over the pipe, then exit
         try:
-            same = np.array_equal(sv_run_schedule(g, 77, sch).amplitudes, want)
-            started = threading.active_count() == 1 + statevector._threads
-            code = 0 if same and started else 1
+            os.close(read)
+            before = statevector._threads
+            same = sv_run_schedule(g, 77, sch).amplitudes.tobytes() == want
+            phase = sum(t.name == "pgsearch-phase" for t in threading.enumerate())
+            os.write(write, f"{before} {statevector._threads} {phase} {same}".encode())
         finally:
-            os._exit(code)
-    deadline = time.monotonic() + 60
-    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0:
-        if time.monotonic() > deadline:
-            os.kill(pid, 9)
-            os.waitpid(pid, 0)
-            pytest.fail("the forked child hung")
-        time.sleep(0.01)
-    assert os.waitstatus_to_exitcode(done[1]) == 0
+            os._exit(0)
+    os.close(write)
+    with os.fdopen(read, "rb") as report:
+        deadline = time.monotonic() + 60
+        while os.waitpid(pid, os.WNOHANG)[0] == 0:
+            if time.monotonic() > deadline:
+                os.kill(pid, 9)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child hung")
+            time.sleep(0.01)
+        assert report.read() == b"0 2 2 True"  # two helpers for 3 workers
 
 
 def test_small_states_start_no_thread():
