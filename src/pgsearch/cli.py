@@ -208,9 +208,9 @@ def _table(fmt: str, header: list[str], rows):
     """Yield the table of ``rows`` under ``header``, at most ``_CHUNK`` rows a
     piece: as text, CSV, or the JSON list that json.dumps writes of the
     records ``dict(zip(map(str.lower, header), row))`` with indent=2 and
-    sorted keys.  Cells are bools, ints, floats and strings, made into text
-    by C-level maps; JSON takes one or more rows of ints, finite floats
-    (whose str() is what the C encoder writes) and strings."""
+    sorted keys.  Cells are bools, ints, floats and strings without NUL,
+    made into text by C-level maps; JSON takes one or more rows of ints,
+    finite floats (whose str() is what the C encoder writes) and strings."""
     width = len(header)
     rows = itertools.chain([header] if fmt != "json" else [], rows)
     chunks = _chunks(rows)
@@ -240,15 +240,11 @@ def _table(fmt: str, header: list[str], rows):
             continue
         values = [*map(format, values, map(_TEXT_SPECS.get, map(type, values)))]
         widths = [*map(max, widths, [max(map(len, values[i::width])) for i in range(width)])]
-        # Kept until all widths are known; a full chunk, which more may follow,
-        # as one string, unless a cell has "\0".
-        if len(chunk) == _CHUNK and (j := "\0".join(values)).count("\0") < len(values):
-            values = j
-        kept.append(values)
+        # Kept until all widths are known, as one string: no cell has "\0".
+        kept.append("\0".join(values))
     template = "  ".join([f"{{:<{w}}}" for w in widths])
     for values in kept:
-        values = values.split("\0") if type(values) is str else values
-        lines = itertools.starmap(template.format, zip(*[iter(values)] * width))
+        lines = itertools.starmap(template.format, zip(*[iter(values.split("\0"))] * width))
         yield "\n".join(map(str.rstrip, lines)) + "\n"
 
 

@@ -251,13 +251,12 @@ def schedule_state(g: Geometry, schedule: Schedule) -> ReducedState:
     return apply_global(s, g) if schedule.trailing_global else s
 
 
-def _outside_coefficients(g: Geometry, j2, constants=None) -> tuple[float, float]:
+def _outside_coefficients(g: Geometry, j2, constants) -> tuple[float, float]:
     """(P, Q) of :func:`_outside_at` for the local count ``j2``: the
     trailing global's third row applied to the state after the globals
-    and locals (see :func:`_rotation_constants`, whose value for ``g`` a
-    caller may pass as ``constants``).
+    and locals (``constants`` is :func:`_rotation_constants` of ``g``).
     """
-    r0, r1, c1, r2c2 = constants or _rotation_constants(g)
+    r0, r1, c1, r2c2 = constants
     omega = 2.0 * j2 * g.theta2
     cos_w, sin_w = math.cos(omega), math.sin(omega)
     return (r0 * cos_w - r1 * sin_w, c1 * (r0 * sin_w + r1 * cos_w) + r2c2)
@@ -280,7 +279,7 @@ def outside_amplitude(g: Geometry, j1, j2) -> float:
     ``j2`` may be real: the rotation angles extend smoothly, with period
     pi/theta2 in j2.
     """
-    return _outside_at(g, _outside_coefficients(g, j2), j1)
+    return _outside_at(g, _outside_coefficients(g, j2, _rotation_constants(g)), j1)
 
 
 def block_success_probability(s: ReducedState, g: Geometry) -> float:
