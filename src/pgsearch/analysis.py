@@ -77,20 +77,22 @@ class OperatingRange(NamedTuple):
 
 def random_pick_coefficient(n_blocks: int) -> float:
     """Queries/sqrt(N) for guessing one block and searching the others."""
-    return _row(_check_k(n_blocks, finite=True)).r_coeff
+    k = _check_k(n_blocks, finite=True)
+    return _rows(k, k)[0].r_coeff
 
 
 def partial_search_coefficient(n_blocks: int) -> float:
     """Queries/sqrt(N) of the optimized blockwise schedule; pi/4 at K = inf."""
     k = _check_k(n_blocks)
-    return math.pi / 4.0 if k == math.inf else _row(k).s_coeff
+    return math.pi / 4.0 if k == math.inf else _rows(k, k)[0].s_coeff
 
 
 def interrupted_probability(n_blocks: int) -> float:
     """Target-block success of a full Grover run stopped where the
     optimized schedule would switch to local iterations:
     (K-2)**2 / (K*(K-1)); zero at K = 2, approaching 1 - 3/K for large K."""
-    return _row(_check_k(n_blocks, finite=True)).p_interrupted
+    k = _check_k(n_blocks, finite=True)
+    return _rows(k, k)[0].p_interrupted
 
 
 def operating_range(p_threshold: float) -> OperatingRange:
@@ -183,17 +185,20 @@ def comparison_table(k_min: int, k_max: int) -> list[ComparisonRow]:
     """
     k_min, k_max = _check_k(k_min, finite=True), _check_k(k_max, finite=True)
     _check_table_range(k_min, k_max)
-    return list(map(_row, range(k_min, k_max + 1)))
+    return _rows(k_min, k_max)
 
 
-def _row(k: int) -> ComparisonRow:
-    """The comparison row of a finite, already checked block count: the one
-    place the s, r, p and c formulas are written."""
-    alpha, eta = _stationary_point(float(k))
-    return ComparisonRow(k, math.pi / 4.0 + (alpha - eta) / math.sqrt(k),
-                         math.pi / 4.0 * math.sqrt((k - 1.0) / k),
-                         (k - 2) ** 2 / (k * (k - 1)), eta - alpha,
-                         MISPRINT_NOTE_K4 if k == 4 else "")
+def _rows(lo: int, hi: int) -> list[ComparisonRow]:
+    """The comparison rows of the finite, already checked block counts
+    lo..hi: the one place the s, r, p and c formulas are written.  Each row
+    is made by ``tuple.__new__``, which skips the NamedTuple's own
+    ``__new__`` and its per-row call."""
+    quarter_pi, sqrt, new = math.pi / 4.0, math.sqrt, tuple.__new__
+    return [new(ComparisonRow, (k, quarter_pi + (alpha - eta) / sqrt(k),
+                                quarter_pi * sqrt((k - 1.0) / k),
+                                (k - 2) ** 2 / (k * (k - 1)), eta - alpha,
+                                MISPRINT_NOTE_K4 if k == 4 else ""))
+            for k in range(lo, hi + 1) for alpha, eta in [_stationary_point(float(k))]]
 
 
 def _check_table_range(k_min: int, k_max: int) -> None:

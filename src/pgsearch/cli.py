@@ -14,7 +14,10 @@ Reports go to stdout (or ``--output PATH``) in one of three formats:
 ``json.dumps(doc, indent=2, sort_keys=True)``, full double precision),
 ``csv`` (RFC-4180 style, header row, LF line endings); the JSON list
 reports of ``compare`` and multi-K ``optimize`` are keyed by the
-lower-cased header.  Identical invocations produce byte-identical output.
+lower-cased header.  CSV is what ``csv.writer`` writes, made by one ``%s``
+template per row; ``csv`` itself is imported only to write a string with a
+comma, a double quote, a CR or an LF in it, or the empty cell of a
+one-column table.  Identical invocations produce byte-identical output.
 
 Command lines are parsed by argparse, the only source of usage and error
 text, or, when canonical, from a table of the same argparse actions, which
@@ -34,9 +37,7 @@ Exit codes: 0 success, 2 invalid arguments or an unwritable path,
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import itertools
 import json
 import math
@@ -227,25 +228,45 @@ def _table(fmt: str, header: list[str], rows):
             yield (",\n" if i else "[\n") + ",\n".join(map(template.__mod__, zip(*columns)))
         yield "\n]\n"
         return
-    kept, widths = [], [0] * width
+    kept, widths, template = [], [0] * width, ",".join(["%s"] * width) + "\n"
     for _, chunk in chunks:
         # Cells row after row, regrouped into rows by zip(*[iter(values)] * width).
         values = [*itertools.chain.from_iterable(chunk)]
         if bool in set(map(type, values)):
             values = [_JSON_WORDS(v) if type(v) is bool else v for v in values]
-        if fmt == "csv":  # csv.writer writes ints and strings by str(), floats by repr()
-            csv.writer(sink := io.StringIO(), lineterminator="\n").writerows(
-                zip(*[iter(values)] * width))
-            yield sink.getvalue()
+        if fmt == "csv":  # as csv.writer: ints and strings by str(), floats by repr()
+            text = "".join(map(template.__mod__, zip(*[iter(values)] * width)))
+            # No number or bool holds a '"', a CR, or a "," or LF beyond the template's.
+            if (text.count(",") != (width - 1) * len(chunk) or text.count("\n") != len(chunk)
+                    or '"' in text or "\r" in text or width == 1 and "" in values):
+                quoted = _csv_quoted({v for v in values if type(v) is str and (
+                    width == 1 and not v or any(map(v.__contains__, ',"\r\n')))})
+                text = "".join(map(template.__mod__, zip(*[iter(map(
+                    quoted.get, values, values))] * width)))
+            yield text
             continue
         values = [*map(format, values, map(_TEXT_SPECS.get, map(type, values)))]
         widths = [*map(max, widths, [max(map(len, values[i::width])) for i in range(width)])]
         # Kept until all widths are known, as one string: no cell has "\0".
         kept.append("\0".join(values))
-    template = "  ".join([f"{{:<{w}}}" for w in widths])
+    template = "  ".join([f"%-{w}s" for w in widths])
     for values in kept:
-        lines = itertools.starmap(template.format, zip(*[iter(values.split("\0"))] * width))
+        lines = map(template.__mod__, zip(*[iter(values.split("\0"))] * width))
         yield "\n".join(map(str.rstrip, lines)) + "\n"
+
+
+def _csv_quoted(strings) -> dict[str, str]:
+    """What csv.writer writes for each of ``strings`` alone in a row.  Python
+    versions differ on some strings that csv quotes (3.11 writes a trailing
+    CR bare, 3.13 quotes it), so csv decides them."""
+    import csv
+    import io
+
+    quoted = {}
+    for value in strings:
+        csv.writer(sink := io.StringIO(), lineterminator="\n").writerow([value])
+        quoted[value] = sink.getvalue()[:-1]
+    return quoted
 
 
 def cmd_optimize(args):
@@ -287,7 +308,7 @@ def cmd_simulate(args) -> list[str]:
 
         full = sv_run_schedule(g, args.target, schedule, cap=args.state_cap)
         reduced, coherence = sv_reduce(full)
-        if args.emit_state:
+        if args.emit_state is not None:
             save_state(full, args.emit_state)
         row["target"] = args.target
         full_only = {"coherence_residual": coherence}
@@ -450,11 +471,11 @@ def main(argv: list[str] | None = None) -> int:
     parser, tables = _build_parser()
     argv = sys.argv[1:] if argv is None else argv
     args = _parse_canonical(argv, tables) or parser.parse_args(argv)
-    if getattr(args, "emit_state", None) and args.engine != "full":
+    if getattr(args, "emit_state", None) is not None and args.engine != "full":
         parser.error("--emit-state requires --engine full")
     try:
         report = args.handler(args)  # checks the whole request first
-        if args.output:
+        if args.output is not None:  # "" too: open() refuses it
             with open(args.output, "w", newline="") as fh:
                 fh.writelines(report)
         else:

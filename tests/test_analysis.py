@@ -422,6 +422,16 @@ def test_comparison_table_rows_equal_scalar_functions(k):
     assert row.note == (MISPRINT_NOTE_K4 if k == 4 else "")
 
 
+def test_every_table_row_is_a_comparison_row_of_the_scalar_functions():
+    rows = comparison_table(2, 5000)
+    assert [row.n_blocks for row in rows] == [*range(2, 5001)]
+    for k, row in enumerate(rows, 2):
+        assert type(row) is ComparisonRow
+        assert row == (k, partial_search_coefficient(k), random_pick_coefficient(k),
+                       interrupted_probability(k), asymptotic_optimum(k).c,
+                       MISPRINT_NOTE_K4 if k == 4 else "")
+
+
 @pytest.mark.parametrize("k_min, k_max", [(1, 5), (5, 3), (2, 10**6 + 1), (0, 0),
                                           (2**20 - 1, 2**20 - 1)])
 def test_comparison_table_range_validation(k_min, k_max):

@@ -179,21 +179,32 @@ _LONG_REPORT = (["K", "alpha", "eta", "note"], [
      'q"\\' if k % 4096 < 2 else "") for k in range(8193)])
 
 
+#: A one-column table with empty cells, which csv.writer quotes as "".
+_EMPTY_CELLS = ([""], [[""], ["x"], [""], [True], [1.5], [""]])
+
+#: A table whose only string that csv quotes first comes in its second
+#: 4096-row chunk (the header is the first chunk's first row).
+_QUOTED_IN_SECOND_CHUNK = (["K", "note"], [
+    (k, 'say "hi"' if k in (4095, 6000) else "") for k in range(8193)])
+
+
 @settings(max_examples=250, deadline=None)
 @given(_tables(), st.sampled_from(["text", "csv"]), st.booleans())
 @example(_LONG_REPORT, "text", False)
 @example(_LONG_REPORT, "csv", False)
+@example(_EMPTY_CELLS, "csv", False)
+@example(_QUOTED_IN_SECOND_CHUNK, "csv", False)
 def test_render_matches_per_cell_reference(table, fmt, transpose):
     header, rows = table
     if fmt == "text":  # text keeps cells "\0"-joined; no cell the CLI writes has a NUL
         header, *rows = [[v.replace("\0", "") if type(v) is str else v for v in row]
                          for row in [header, *rows]]
     expected = _reference_render(fmt, header, rows, None, transpose)
-    assert cli._render(fmt, header, rows, None, transpose) == expected
+    _assert_same_report(cli._render(fmt, header, rows, None, transpose), expected)
     if not transpose:
-        assert "".join(cli._table(fmt, header, rows)) == expected
+        _assert_same_report("".join(cli._table(fmt, header, rows)), expected)
     rows = (tuple(row) for row in rows)  # compare passes a generator
-    assert cli._render(fmt, header, rows, None, transpose) == expected
+    _assert_same_report(cli._render(fmt, header, rows, None, transpose), expected)
 
 
 _JSON_SCALARS = st.one_of(st.none(), _SCALARS)
@@ -916,6 +927,27 @@ def test_unwritable_path_exits_2(tmp_path, capsys, flag):
     assert out == ""
     assert err.startswith("error:") and str(path) in err
     assert not path.parent.exists()
+
+
+def test_empty_output_path_is_refused_before_any_row(capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "comparison_table", lambda lo, hi: built.append(lo))
+    code, out, err = run_cli(["compare", "--k", "2..3", "--output", ""], capsys)
+    assert (code, out, built) == (2, "", []) and err.startswith("error:")
+
+
+def test_empty_emit_state_path_is_refused(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(["simulate", "--n", "16", "--engine", "full",
+                              "--emit-state", ""], capsys)
+    assert (code, out) == (2, "") and err.startswith("error:")
+    assert [*tmp_path.iterdir()] == []
+
+
+def test_empty_emit_state_path_requires_full_engine(capsys):
+    code, out, err = run_cli(["simulate", "--n", "16", "--emit-state", ""], capsys)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1].endswith("error: --emit-state requires --engine full")
 
 
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
