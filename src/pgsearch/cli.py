@@ -258,14 +258,18 @@ def _table(fmt: str, header: list[str], rows):
 def _csv_quoted(strings) -> dict[str, str]:
     """What csv.writer writes for each of ``strings`` alone in a row.  Python
     versions differ on some strings that csv quotes (3.11 writes a trailing
-    CR bare, 3.13 quotes it), so csv decides them."""
+    CR bare, 3.13 quotes it), so csv decides them.  A NUL, which csv before
+    3.11 refuses and later versions write as is, reaches csv as a character
+    the string does not hold."""
     import csv
     import io
 
     quoted = {}
     for value in strings:
-        csv.writer(sink := io.StringIO(), lineterminator="\n").writerow([value])
-        quoted[value] = sink.getvalue()[:-1]
+        nul = next(c for c in map(chr, range(0xE000, 0xF900)) if c not in value)
+        csv.writer(sink := io.StringIO(), lineterminator="\n").writerow(
+            [value.replace("\0", nul)])
+        quoted[value] = sink.getvalue()[:-1].replace(nul, "\0")
     return quoted
 
 
@@ -471,8 +475,12 @@ def main(argv: list[str] | None = None) -> int:
     parser, tables = _build_parser()
     argv = sys.argv[1:] if argv is None else argv
     args = _parse_canonical(argv, tables) or parser.parse_args(argv)
-    if getattr(args, "emit_state", None) is not None and args.engine != "full":
-        parser.error("--emit-state requires --engine full")
+    if getattr(args, "emit_state", None) is not None:
+        if args.engine != "full":
+            parser.error("--emit-state requires --engine full")
+        if args.output is not None and (
+                os.path.realpath(args.output) == os.path.realpath(args.emit_state)):
+            parser.error("--output and --emit-state name the same file")
     try:
         report = args.handler(args)  # checks the whole request first
         if args.output is not None:  # "" too: open() refuses it

@@ -20,14 +20,16 @@ coefficient c_K = eta_K - alpha_K.  For finite sizes,
 :func:`optimal_exact_schedule` finds the integer optimum in closed form.
 For each local count j2 the amplitude left outside the target block is
 R*sin(phi + delta) with phi = (2*j1+1)*theta1, so the first adequate j1 of
-a row follows from an arcsin, at O(1) cost at any N.  The winner is the
-cheapest schedule whose reported block success (:func:`schedule_state`)
-is >= the threshold.
+a row follows from an arcsin, at O(1) cost at any N.  Certified bounds on
+that sinusoid skip the rows, and for large blocks the blocks of rows,
+that cannot beat the best found; at large N the search evaluates a small
+multiple of b**(1/4) rows.  The winner is the cheapest schedule whose
+reported block success (:func:`schedule_state`) is >= the threshold.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 import operator
 import sys
@@ -170,60 +172,155 @@ def asymptotic_schedule(g: Geometry) -> Schedule:
 _BAND = 32 * 2.0**-52
 
 
+#: Slack of the pruning tests in p: they skip only candidates whose exact
+#: outside amplitude exceeds sqrt(1 - threshold + band + margin).  That
+#: covers their own rounding (about 1e-15 in amplitude) many times over, so
+#: whatever they skip has closed-form p < threshold - band.
+_MARGIN = 2.0**-44
+
+#: Rows per leaf of the block search; blocks are searched only where a
+#: leaf's spread (below) is under a quarter of the radius.
+_LEAF = 8
+
+
+def _first_j1(g: Geometry, constants, edge: float, j1_max: int) -> int:
+    """A j1 below which no row holds a candidate: with u = (sin(phi),
+    c1*cos(phi)) the outside amplitude is r2c2*cos(phi) plus (r0, r1) dotted
+    with u rotated by omega, so |outside| >= r2c2*cos(phi) - |(r0, r1)|*|u|,
+    a bound free of j2 that falls as phi grows to pi/2.  Bisection finds its
+    first j1 not above ``edge``."""
+    r0, r1, c1, r2c2 = constants
+    rho, theta1 = math.hypot(r0, r1), g.theta1
+    lo, hi = 0, min(j1_max, int((math.pi / (2.0 * theta1) - 1.0) / 2.0))
+    while lo < hi:
+        mid = (lo + hi) // 2
+        phi = (2 * mid + 1) * theta1
+        cos_p = math.cos(phi)
+        if r2c2 * cos_p - rho * math.hypot(math.sin(phi), c1 * cos_p) > edge:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+def _block(g: Geometry, constants, edge: float, spread: float, j1_min: int,
+           start: int, stop: int) -> tuple[int, int, int]:
+    """(q, start, stop): no row in [start, stop) holds a candidate of fewer
+    than q + 1 queries.  omega moves (P, Q) by at most |(r0, r1)| per
+    radian, so over the block's n rows the sinusoid stays within
+    ``spread``*n = |(r0, r1)|*n*theta2 of its middle row's, and no row
+    holds a candidate before that row's first window with the edge raised
+    by as much (see :func:`_scan`)."""
+    coeffs = _outside_coefficients(g, (start + stop - 1) // 2, constants)
+    bound, amp = edge + spread * (stop - start), math.hypot(*coeffs)
+    first = j1_min
+    if bound < amp:
+        half = math.asin(bound / amp)
+        delta = math.atan2(coeffs[1], coeffs[0])
+        m = math.floor(((2 * j1_min + 1) * g.theta1 + delta - half) / math.pi) + 1
+        first = max(first, math.ceil(
+            ((m * math.pi - half - delta) / g.theta1 - 1.0) / 2.0) - 1)
+    return first + start, start, stop
+
+
 def _scan(g: Geometry, threshold: float, j1_max: int, j2s):
     """The cheapest (j1, j2), j1 <= ``j1_max`` and j2 in ``j2s``, whose block
-    success reaches ``threshold``, or None.  The rows are searched in the
-    order given; the search stops at the first row where j1 = 0 cannot beat
-    the best, so ``j2s`` must ascend after its first row.  What every row
-    shares, :func:`_rotation_constants` and the band, is computed once.
+    success reaches ``threshold``, or None.  ``j2s`` holds rows and
+    ascending ranges of rows, taken in the order given; what every row
+    shares is computed once.
 
     With (P, Q) = R*(cos(delta), sin(delta)) the outside amplitude is
-    R*sin(phi + delta), so the candidates that are not surely infeasible
-    (closed-form p >= threshold - band) lie in windows
-    |phi + delta - m*pi| <= arcsin(sqrt(1 - threshold + band)/R).  Each
-    window's walk starts one j1 below the first that arcsin admits, a guard
-    against its rounding, or at the first j1 not examined yet if later, and
-    goes forward in the window until a candidate decides.
-    A candidate within the band of the threshold is decided by
-    :func:`schedule_state`, which is what "reaches" means.
+    R*sin(phi + delta).  Three tests skip only candidates above ``edge``,
+    sqrt(1 - threshold + band + :data:`_MARGIN`), none of which reaches
+    the threshold: no row is searched below :func:`_first_j1`; a row is
+    skipped when its sinusoid lies beyond the edge with one sign at both
+    ends of its phi span [first j1, cap], a span under pi, since its zeros
+    are pi apart and |sin| is concave between them; and where a leaf of
+    :data:`_LEAF` rows moves the sinusoid little, a range is searched as
+    blocks, the lowest :func:`_block` bound first, halved down to leaves
+    that are searched as rows, until no bound can beat the best.
+
+    In a row, the other candidates lie in windows |phi + delta - m*pi| <=
+    arcsin(radius/R), radius = sqrt(1 - threshold + band).  Each window's
+    walk starts one j1 below the first that arcsin admits, a guard against
+    its rounding, or at the first j1 not examined yet if later, and goes
+    forward in the window until a candidate decides.  A candidate within
+    the band of the threshold is decided by :func:`schedule_state`, which
+    is what "reaches" means.
     """
     constants = _rotation_constants(g)
     lo, hi = threshold - _BAND, threshold + _BAND
     radius = math.sqrt(1.0 - lo)
+    edge = math.sqrt(1.0 - lo + _MARGIN)
     theta1, pi = g.theta1, math.pi
-    asin, atan2, ceil, floor, hypot = (
-        math.asin, math.atan2, math.ceil, math.floor, math.hypot)
+    asin, atan2, ceil, cos, floor, hypot, sin = (
+        math.asin, math.atan2, math.ceil, math.cos, math.floor, math.hypot,
+        math.sin)
     coefficients, outside_at = _outside_coefficients, _outside_at
+    j1_min = _first_j1(g, constants, edge, j1_max)
+    phi_min = (2 * j1_min + 1) * theta1
+    sin_min, cos_min = sin(phi_min), cos(phi_min)
+    reach = j1_min + floor(pi / (2.0 * theta1)) - 1  # caps whose span is < pi
+    spread = hypot(constants[0], constants[1]) * g.theta2  # per row of a block
+    leaf = _LEAF if spread * _LEAF < radius / 4.0 else math.inf
+    block = functools.partial(_block, g, constants, edge, spread, j1_min)
     bj1 = bj2 = None
     cap = j1_max  # largest j1 whose key beats the best's
-    for j2 in j2s:
-        if bj2 is not None:
-            cap = bj1 + bj2 - j2 - (j2 >= bj2)
-            if cap > j1_max:
-                cap = j1_max
-            elif cap < 0:  # here and in every later row
-                break
-        coeffs = coefficients(g, j2, constants)
-        amp = hypot(*coeffs)
-        half = asin(radius / amp) if radius < amp else pi / 2
-        delta = atan2(coeffs[1], coeffs[0])
-        j1 = 0  # first j1 not examined yet
-        m = floor((theta1 + delta - half) / pi)
-        while j1 <= cap:
-            start = ceil(((m * pi - half - delta) / theta1 - 1.0) / 2.0) - 1
-            if start > j1:  # a start past cap ends the row
-                j1 = start
-            while j1 <= cap:
-                a = outside_at(g, coeffs, j1)
-                p = 1.0 - a * a
-                if p >= hi or (p >= lo and block_success_probability(
-                        schedule_state(g, Schedule(j1, j2)), g) >= threshold):
-                    bj1, bj2, cap = j1, j2, j1 - 1  # nothing after beats it
+    pending, heap = list(j2s)[::-1], []
+    while heap or pending:
+        if heap:  # blocks of a range, cheapest bound first
+            q, start, stop = heappop(heap)
+            if bj2 is not None and q + (start >= bj2) > bj1 + bj2:
+                heap = []  # and so does every block left
+                continue
+            if stop - start > leaf:
+                mid = (start + stop) // 2
+                heappush(heap, block(start, mid))
+                heappush(heap, block(mid, stop))
+                continue
+            rows = range(start, stop)
+        else:
+            rows = pending.pop()
+            if type(rows) is not range:
+                rows = (rows,)
+            elif len(rows) > leaf:
+                from heapq import heappop, heappush  # not imported for small b
+                heap = [block(rows.start, rows.stop)]
+                continue
+        for j2 in rows:
+            if bj2 is not None:
+                cap = bj1 + bj2 - j2 - (j2 >= bj2)
+                if cap > j1_max:
+                    cap = j1_max
+                elif cap < j1_min:  # here and in the rest of the range
                     break
-                j1 += 1
-                if p < lo and (2 * j1 - 1) * theta1 + delta > m * pi:
-                    break  # past this window
-            m += 1
+            coeffs = coefficients(g, j2, constants)
+            if cap <= reach:
+                phi = (2 * cap + 1) * theta1
+                a = coeffs[0] * sin_min + coeffs[1] * cos_min
+                z = coeffs[0] * sin(phi) + coeffs[1] * cos(phi)
+                if a > edge and z > edge or a < -edge and z < -edge:
+                    continue
+            amp = hypot(*coeffs)
+            half = asin(radius / amp) if radius < amp else pi / 2
+            delta = atan2(coeffs[1], coeffs[0])
+            j1 = j1_min  # first j1 not examined yet
+            m = floor((phi_min + delta - half) / pi) + 1  # first to end past phi_min
+            while j1 <= cap:
+                start = ceil(((m * pi - half - delta) / theta1 - 1.0) / 2.0) - 1
+                if start > j1:  # a start past cap ends the row
+                    j1 = start
+                while j1 <= cap:
+                    a = outside_at(g, coeffs, j1)
+                    p = 1.0 - a * a
+                    if p >= hi or (p >= lo and block_success_probability(
+                            schedule_state(g, Schedule(j1, j2)), g) >= threshold):
+                        bj1, bj2, cap = j1, j2, j1 - 1  # nothing after beats it
+                        break
+                    j1 += 1
+                    if p < lo and (2 * j1 - 1) * theta1 + delta > m * pi:
+                        break  # past this window
+                m += 1
     return None if bj2 is None else (bj1, bj2)
 
 
@@ -244,9 +341,14 @@ def optimal_exact_schedule(
     arcsin (see :func:`_scan`) at O(1) cost.  The closed form decides a
     candidate only when its p lies outside :data:`_BAND` of the threshold;
     inside it :func:`schedule_state` decides.  The row of the asymptotic
-    j2 goes first, and only then.  Its winner caps j1 in every other row,
-    and the scan over j2 stops once j2 + 1 queries can no longer beat it,
-    so O(sqrt(b)) rows are searched.
+    j2 goes first, and only then; its winner caps j1 in every other row.
+    Three certified tests then skip what cannot beat the best, and only
+    that: the j1 below a j2-free bound, the rows whose sinusoid stays
+    clear of the threshold over their whole j1 span, and, for large b,
+    the blocks of rows whose bound cannot beat the best, searched
+    cheapest bound first.  From N = 2**36 to 2**53 that evaluates
+    8-32*b**(1/4) rows for K >= 3, and up to 68*b**(1/4) for K = 2 near
+    certainty, against about sqrt(b) when every row is searched.
     """
     _check_k(g.n_blocks)
     if not 0.0 < success_threshold < 1.0:
@@ -256,8 +358,8 @@ def optimal_exact_schedule(
     j2_max = math.ceil(math.pi * math.sqrt(g.block_size) / 2.0)
 
     first = asymptotic_schedule(g).j2
-    best = _scan(g, success_threshold, j1_max, itertools.chain(
-        (first,), range(first), range(first + 1, j2_max + 1)))
+    best = _scan(g, success_threshold, j1_max,
+                 (first, range(first), range(first + 1, j2_max + 1)))
     if best is None:
         raise InfeasibleError(
             f"no schedule with j1 <= {j1_max}, j2 <= {j2_max} reaches "

@@ -137,11 +137,15 @@ def _reference_render(fmt, header, rows, doc, transpose=False) -> str:
     if fmt == "json":
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if fmt == "csv":
+        # Python 3.10's csv refuses a NUL, which 3.11+ writes bare, as cli
+        # does on each: each NUL goes to csv as a character no cell holds.
+        lines = [header, *([_reference_cell(v, True) for v in row] for row in rows)]
+        text = "".join(cell for line in lines for cell in line)
+        stand_in = next(c for c in map(chr, range(0xE000, 0xF900)) if c not in text)
         sink = io.StringIO()
-        writer = csv.writer(sink, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([_reference_cell(v, True) for v in row] for row in rows)
-        return sink.getvalue()
+        csv.writer(sink, lineterminator="\n").writerows(
+            [cell.replace("\0", stand_in) for cell in line] for line in lines)
+        return sink.getvalue().replace(stand_in, "\0")
     cells = [[_reference_cell(v, False) for v in row] for row in rows]
     lines = list(zip(header, *cells)) if transpose else [header, *cells]
     widths = [max(len(cell) for cell in column) for column in zip(*lines)]
@@ -948,6 +952,27 @@ def test_empty_emit_state_path_requires_full_engine(capsys):
     code, out, err = run_cli(["simulate", "--n", "16", "--emit-state", ""], capsys)
     assert (code, out) == (2, "")
     assert err.splitlines()[-1].endswith("error: --emit-state requires --engine full")
+
+
+@pytest.mark.parametrize("spelling", ["state", "./state", "../{dir}/state", "link"])
+@pytest.mark.parametrize("exists", [False, True])
+def test_output_and_emit_state_naming_one_file_are_refused(
+        tmp_path, capsys, monkeypatch, spelling, exists):
+    """Both writes to one file would leave only the last; the request is
+    refused (exit 2) before the engine runs, and the file is left as found."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "link").symlink_to("state")
+    if exists:
+        (tmp_path / "state").write_text("kept")
+    monkeypatch.setattr(cli, "make_geometry", None)  # any work would raise
+    code, out, err = run_cli(
+        ["simulate", "--engine", "full", "--n", "16", "--k", "4", "--emit-state", "state",
+         "--output", spelling.format(dir=tmp_path.name)], capsys)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1].endswith(
+        "error: --output and --emit-state name the same file")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "state"][:1 + exists]
+    assert not exists or (tmp_path / "state").read_text() == "kept"
 
 
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])

@@ -65,6 +65,12 @@ def test_csv_writes_nul_bare():
     assert "".join(cli._table("csv", ["a", "b"], [("nul\x00", 1)])) == "a,b\nnul\x00,1\n"
 
 
+def test_csv_quotes_a_string_holding_a_nul_as_3_11_does():
+    rows = [("a,\x00", '\x00"'), ("\x00\ue000\n", 1)]
+    assert "".join(cli._table("csv", ["a", "b"], rows)) == (
+        'a,b\n"a,\x00","\x00"""\n"\x00\ue000\n",1\n')
+
+
 def test_csv_is_not_imported_by_the_cli():
     """``import pgsearch.cli`` loads no csv, nor does a CSV compare report,
     whose strings need no quoting (``-S``: no site hook imports it either)."""

@@ -1,5 +1,6 @@
 """Closed-form optimum and exact schedule search."""
 
+import itertools
 import math
 import random
 
@@ -372,6 +373,53 @@ def _brute_force_exact_schedule(g, success_threshold, engine=run_schedule):
     return best
 
 
+def _linear_scan_exact_schedule(g, success_threshold):
+    """Reference for optimal_exact_schedule's pruning: its search without
+    the pruning tests.  Every j2 row is searched, the asymptotic one first,
+    until j1 = 0 cannot beat the best; each row walks its arcsin windows
+    from j1 = 0, deciding in-band candidates by schedule_state."""
+    from pgsearch.model import _outside_at, _outside_coefficients, _rotation_constants
+    j1_max = math.ceil(math.pi * math.sqrt(g.n_items) / 4.0)
+    j2_max = math.ceil(math.pi * math.sqrt(g.block_size) / 2.0)
+    first = asymptotic_schedule(g).j2
+    constants = _rotation_constants(g)
+    band = pgsearch.optimizer._BAND
+    lo, hi = success_threshold - band, success_threshold + band
+    radius, theta1, pi = math.sqrt(1.0 - lo), g.theta1, math.pi
+    bj1 = bj2 = None
+    cap = j1_max
+    for j2 in itertools.chain((first,), range(first), range(first + 1, j2_max + 1)):
+        if bj2 is not None:
+            cap = min(j1_max, bj1 + bj2 - j2 - (j2 >= bj2))
+            if cap < 0:
+                break
+        coeffs = _outside_coefficients(g, j2, constants)
+        amp = math.hypot(*coeffs)
+        half = math.asin(radius / amp) if radius < amp else pi / 2
+        delta = math.atan2(coeffs[1], coeffs[0])
+        j1 = 0
+        m = math.floor((theta1 + delta - half) / pi)
+        while j1 <= cap:
+            j1 = max(j1, math.ceil(((m * pi - half - delta) / theta1 - 1.0) / 2.0) - 1)
+            while j1 <= cap:
+                a = _outside_at(g, coeffs, j1)
+                p = 1.0 - a * a
+                if p >= hi or (p >= lo and block_success_probability(
+                        schedule_state(g, Schedule(j1, j2)), g) >= success_threshold):
+                    bj1, bj2, cap = j1, j2, j1 - 1
+                    break
+                j1 += 1
+                if p < lo and (2 * j1 - 1) * theta1 + delta > m * pi:
+                    break
+            m += 1
+    if bj2 is None:
+        raise InfeasibleError(
+            f"no schedule with j1 <= {j1_max}, j2 <= {j2_max} reaches "
+            f"block success {success_threshold}"
+        )
+    return Schedule(bj1, bj2)
+
+
 def _exact_cases():
     thresholds = (0.3, 0.5, 0.9, 0.99, 0.999)
     for n in (2**e for e in range(4, 13)):
@@ -571,6 +619,96 @@ def test_windows_start_past_surely_infeasible_candidates_at_large_n(n, k, monkey
     assert checked  # some window started past j1 = 0
 
 
+def _random_geometries(seed, count):
+    """``count`` seeded (geometry, threshold) pairs, N <= 2**30: K from nine
+    block counts, the block size log-uniform and the threshold from five."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        k = rng.choice((2, 3, 4, 5, 8, 16, 64, 256, 1024))
+        b = int(2 ** rng.uniform(0, 30 - math.log2(k)))
+        yield make_geometry(k * b, k), rng.choice((0.5, 0.9, 0.99, 0.999, 0.999999))
+
+
+def test_pruned_search_matches_the_linear_scan():
+    """The pruning tests skip only rows and blocks that cannot beat the best:
+    over 400 seeded geometries the search returns the linear scan's winner,
+    or its InfeasibleError."""
+    for g, threshold in _random_geometries(31, 400):
+        try:
+            expected = _linear_scan_exact_schedule(g, threshold)
+        except InfeasibleError as exc:
+            with pytest.raises(InfeasibleError) as got:
+                optimal_exact_schedule(g, threshold)
+            assert str(got.value) == str(exc)
+            continue
+        assert optimal_exact_schedule(g, threshold) == expected, (g, threshold)
+
+
+@pytest.mark.parametrize("n, k, expected", [
+    (2**40, 4, Schedule(270702, 322158)),      # the linear scan: 592,860 rows
+    (2**44, 2, Schedule(4090, 2114839)),       # 2,118,929 rows
+    (2**53, 64, Schedule(59460606, 6263124)),  # 18,634,803 rows
+])
+def test_pruned_rows_grow_as_the_fourth_root_of_b(n, k, expected, monkeypatch):
+    """Only the rows near the optimum's valley, which narrows as b**(1/4),
+    are searched: at most 32*b**(1/4) rows' (P, Q), the block search's middle
+    rows included (about 13, 18 and 9 times b**(1/4) here), where the
+    linear scan takes 819, 1230 and 5411 times b**(1/4)."""
+    rows = _count_calls(monkeypatch, pgsearch.optimizer, ("_outside_coefficients",))
+    g = make_geometry(n, k)
+    assert optimal_exact_schedule(g, 0.99) == expected
+    assert rows["_outside_coefficients"] <= 32 * g.block_size ** 0.25
+
+
+@pytest.mark.parametrize("n, k", [(1155, 5), (3 * 2**20, 3), (2**30, 4), (2**40, 1024),
+                                  (2**53, 64), (2**30, 2)])
+@pytest.mark.parametrize("threshold", [0.5, 0.99, 0.999999])
+def test_no_row_holds_a_candidate_below_the_first_j1(n, k, threshold):
+    """Below _first_j1, sampled rows have closed-form p below threshold -
+    band at sampled j1 and at the j1 just below it.  At phi = 0 the bound
+    is about (K - 4)*sqrt(K - 1)/K**1.5, so it lifts the first j1 only
+    above K = 4, and for every threshold from K = 64 on."""
+    g = make_geometry(n, k)
+    j1_max = math.ceil(math.pi * math.sqrt(n) / 4.0)
+    j2_max = math.ceil(math.pi * math.sqrt(g.block_size) / 2.0)
+    low = threshold - pgsearch.optimizer._BAND
+    edge = math.sqrt(1.0 - low + pgsearch.optimizer._MARGIN)
+    j1_min = pgsearch.optimizer._first_j1(
+        g, pgsearch.model._rotation_constants(g), edge, j1_max)
+    assert j1_min > 0 or k < 64
+    rng = random.Random(n + k)
+    j1s = {j1_min - 1, *(rng.randrange(j1_min) for _ in range(8))} if j1_min else set()
+    for j2 in {0, j2_max, *(rng.randint(0, j2_max) for _ in range(64))}:
+        assert all(_closed_form_success(g, j1, j2) < low for j1 in j1s), j2
+
+
+@pytest.mark.parametrize("n, k", [(2**30, 4), (2**40, 2), (2**36, 1024), (2**53, 64)])
+@pytest.mark.parametrize("threshold", [0.5, 0.99])
+def test_a_block_holds_no_candidate_below_its_bound(n, k, threshold):
+    """_block's bound, in every row of 24 sampled blocks of 8 to 512 rows:
+    the j1 just below it, where some row's first window nearly always
+    starts, and a random j1 above _first_j1 have closed-form p below
+    threshold - band."""
+    g = make_geometry(n, k)
+    j1_max = math.ceil(math.pi * math.sqrt(n) / 4.0)
+    j2_max = math.ceil(math.pi * math.sqrt(g.block_size) / 2.0)
+    low = threshold - pgsearch.optimizer._BAND
+    edge = math.sqrt(1.0 - low + pgsearch.optimizer._MARGIN)
+    constants = pgsearch.model._rotation_constants(g)
+    spread = math.hypot(*constants[:2]) * g.theta2
+    j1_min = pgsearch.optimizer._first_j1(g, constants, edge, j1_max)
+    rng = random.Random(n + k)
+    for _ in range(24):
+        size = rng.choice((8, 64, 512))
+        start = rng.randint(0, j2_max - size)
+        q, _, _ = pgsearch.optimizer._block(g, constants, edge, spread, j1_min,
+                                            start, start + size)
+        first = q - start
+        for j2 in range(start, start + size):
+            j1s = {first - 1, rng.randint(j1_min, first - 1)} if first > j1_min else ()
+            assert all(_closed_form_success(g, j1, j2) < low for j1 in j1s), (start, j2)
+
+
 def _closed_form_success(g, j1, j2):
     """Block success the optimizer's closed form gives candidate (j1, j2)."""
     a = outside_amplitude(g, j1, j2)
@@ -667,8 +805,8 @@ def test_closed_form_accuracy_up_to_2_53():
 
 
 def test_exact_schedule_is_fast_at_large_n():
-    """N = 2**30 takes about 0.1 s; stepping states through the box would
-    take hours.  The winner reaches 0.99 and one global fewer does not."""
+    """N = 2**30 takes about 2 ms (25 ms when every j2 row was searched);
+    stepping states through the box would take hours.  The winner reaches 0.99 and one global fewer does not."""
     g = make_geometry(2**30, 4)
     assert optimal_exact_schedule(g, 0.99) == Schedule(8495, 10031)
     for j1, reaches in ((8495, True), (8494, False)):

@@ -65,21 +65,34 @@ PINS = [
     # by stepping run_schedule took about 6 s here, schedule_state is O(1).
     Pin("schedule --n 68719476736 --k 2 --exact --format csv", "last",
         "exact,1474,130959,true,132434,0.9900000009670864", 3),
-    # 592,860 j2 rows. On a 2-vCPU host, with the rows searched in one
-    # loop this takes 0.75-0.92 s, against 1.2-1.5 s with a closure per row;
-    # the same host has run the closure version at 2.5-2.9 s, so the 3 s
-    # timeout leaves about 2x headroom on a host twice as slow.
+    # 592,860 j2 rows when every row was searched, 0.75-1.4 s on a 2-vCPU
+    # host; the 3 s timeout left about 2x headroom on a host twice as slow.
+    # The pruned search evaluates about 9,800 rows.
     Pin("schedule --n 1099511627776 --k 4 --exact --format csv", "last",
         "exact,270702,322158,true,592861,0.9900000001676412", 3),
     # The reported row comes from the closed-form state; stepping its
     # 58 million queries took seconds and failed the normalization check.
     Pin("schedule --n 9007199254740992 --k 4 --format csv", "last",
         "asymptotic,29206440,29206440,true,58412881,0.9999999999999999", 5),
-    # The top of the range: 4,658,702 j2 rows, 6.1-7.6 s on a 2-vCPU host
-    # (10.0-12.5 s with a closure per row); the 15 s timeout leaves about
-    # 2x headroom.
+    # The top of the range: 4,658,702 j2 rows when every row was searched,
+    # 6.1-8.2 s on a 2-vCPU host, so the 15 s timeout left about 2x
+    # headroom. The pruned search evaluates about 14,000 rows; at K = 64,
+    # K = 4 and K = 2, where every row took 18.6, 53.7 and 47.9 million
+    # rows and 23, 71 and 75 s, it evaluates about 30,000, 92,000 and
+    # 152,000. The K = 64 line was taken in 43 s at an earlier search of
+    # every row, the K = 4 line agrees with the one the tests keep as a
+    # reference and the K = 2 line with that of the search it replaced.
+    # The three take 0.17-0.46 s whole-process on a host whose speed moves
+    # twofold; their 2 s timeouts leave about 2x headroom on a host twice
+    # as slow.
     Pin("schedule --n 9007199254740992 --k 1024 --exact --format csv", "last",
         "exact,67217158,1553214,true,68770373,0.9900000000016533", 15),
+    Pin("schedule --n 9007199254740992 --k 64 --exact --format csv", "last",
+        "exact,59460606,6263124,true,65723731,0.9900000000027925", 2),
+    Pin("schedule --n 9007199254740992 --k 4 --exact --format csv", "last",
+        "exact,24457353,29202269,true,53659623,0.9900000000000968", 2),
+    Pin("schedule --n 9007199254740992 --k 2 --exact --format csv", "last",
+        "exact,22414,47923489,true,47945904,0.9900000000000435", 2),
     # The full engine at N = 2^22 with b = 2^21 (rows wider than a tile,
     # cut at numpy's pairwise-summation nodes; with more CPUs than its 2
     # rows, the threads share each query's leaves), with b = 2^20 and
@@ -246,8 +259,9 @@ def test_golden_in_a_new_process(case_id, prefix, tmp_path):
 def test_exact_winners_over_a_grid():
     """The exact winner, or "infeasible", of every geometry N = 2^4..2^34,
     K = 2..2^min(e, 10) at four thresholds: 1156 lines, 54 of them
-    infeasible, in about 6 s. The digest was taken while each window's
-    walk still stepped back from the arcsin's first index."""
+    infeasible, in about 1 s (6-9 s while every j2 row was searched). The
+    digest was taken while each window's walk still stepped back from the
+    arcsin's first index."""
     start, lines = time.monotonic(), []
     for e in range(4, 35):
         for kexp in range(1, min(e, 10) + 1):
