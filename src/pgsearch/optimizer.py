@@ -29,10 +29,10 @@ reported block success (:func:`schedule_state`) is >= the threshold.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 import sys
+from heapq import heappop, heappush
 from typing import NamedTuple
 
 from .errors import BadKError, InfeasibleError
@@ -179,7 +179,10 @@ _BAND = 32 * 2.0**-52
 _MARGIN = 2.0**-44
 
 #: Rows per leaf of the block search; blocks are searched only where a
-#: leaf's spread (below) is under a quarter of the radius.
+#: leaf's spread (below) is under a quarter of the radius.  At threshold 0.9
+#: that is from about N = 2**14.5 (K = 2) to 2**15.5 (K >= 16), at 0.99
+#: from 2**18 to 2**19.  Where the spread is wider the block bounds seldom
+#: beat the best and the blocks cost more than the rows they skip.
 _LEAF = 8
 
 
@@ -263,7 +266,6 @@ def _scan(g: Geometry, threshold: float, j1_max: int, j2s):
     reach = j1_min + floor(pi / (2.0 * theta1)) - 1  # caps whose span is < pi
     spread = hypot(constants[0], constants[1]) * g.theta2  # per row of a block
     leaf = _LEAF if spread * _LEAF < radius / 4.0 else math.inf
-    block = functools.partial(_block, g, constants, edge, spread, j1_min)
     bj1 = bj2 = None
     cap = j1_max  # largest j1 whose key beats the best's
     pending, heap = list(j2s)[::-1], []
@@ -275,8 +277,10 @@ def _scan(g: Geometry, threshold: float, j1_max: int, j2s):
                 continue
             if stop - start > leaf:
                 mid = (start + stop) // 2
-                heappush(heap, block(start, mid))
-                heappush(heap, block(mid, stop))
+                heappush(heap, _block(g, constants, edge, spread, j1_min,
+                                      start, mid))
+                heappush(heap, _block(g, constants, edge, spread, j1_min,
+                                      mid, stop))
                 continue
             rows = range(start, stop)
         else:
@@ -284,8 +288,8 @@ def _scan(g: Geometry, threshold: float, j1_max: int, j2s):
             if type(rows) is not range:
                 rows = (rows,)
             elif len(rows) > leaf:
-                from heapq import heappop, heappush  # not imported for small b
-                heap = [block(rows.start, rows.stop)]
+                heap = [_block(g, constants, edge, spread, j1_min,
+                               rows.start, rows.stop)]
                 continue
         for j2 in rows:
             if bj2 is not None:
