@@ -15,9 +15,9 @@ Reports go to stdout (or ``--output PATH``) in one of three formats:
 ``csv`` (RFC-4180 style, header row, LF line endings); the JSON list
 reports of ``compare`` and multi-K ``optimize`` are keyed by the
 lower-cased header.  CSV is what ``csv.writer`` writes, made by one ``%s``
-template per row; ``csv`` itself is imported only to write a string with a
-comma, a double quote, a CR or an LF in it, or the empty cell of a
-one-column table.  Identical invocations produce byte-identical output.
+template per row: no string the CLI writes holds a comma, a double quote,
+a CR, an LF or a NUL, and no one-column table has an empty cell, so no
+cell is quoted.  Identical invocations produce byte-identical output.
 
 Command lines are parsed by argparse, the only source of usage and error
 text, or, when canonical, from a table of the same argparse actions, which
@@ -209,9 +209,11 @@ def _table(fmt: str, header: list[str], rows):
     """Yield the table of ``rows`` under ``header``, at most ``_CHUNK`` rows a
     piece: as text, CSV, or the JSON list that json.dumps writes of the
     records ``dict(zip(map(str.lower, header), row))`` with indent=2 and
-    sorted keys.  Cells are bools, ints, floats and strings without NUL,
-    made into text by C-level maps; JSON takes one or more rows of ints,
-    finite floats (whose str() is what the C encoder writes) and strings."""
+    sorted keys.  Cells are bools, ints, floats and strings that csv.writer
+    writes bare (no comma, double quote, CR, LF or NUL; no empty cell in a
+    one-column table), made into text by C-level maps; JSON takes one or
+    more rows of ints, finite floats (whose str() is what the C encoder
+    writes) and strings."""
     width = len(header)
     rows = itertools.chain([header] if fmt != "json" else [], rows)
     chunks = _chunks(rows)
@@ -235,15 +237,7 @@ def _table(fmt: str, header: list[str], rows):
         if bool in set(map(type, values)):
             values = [_JSON_WORDS(v) if type(v) is bool else v for v in values]
         if fmt == "csv":  # as csv.writer: ints and strings by str(), floats by repr()
-            text = "".join(map(template.__mod__, zip(*[iter(values)] * width)))
-            # No number or bool holds a '"', a CR, or a "," or LF beyond the template's.
-            if (text.count(",") != (width - 1) * len(chunk) or text.count("\n") != len(chunk)
-                    or '"' in text or "\r" in text or width == 1 and "" in values):
-                quoted = _csv_quoted({v for v in values if type(v) is str and (
-                    width == 1 and not v or any(map(v.__contains__, ',"\r\n')))})
-                text = "".join(map(template.__mod__, zip(*[iter(map(
-                    quoted.get, values, values))] * width)))
-            yield text
+            yield "".join(map(template.__mod__, zip(*[iter(values)] * width)))
             continue
         values = [*map(format, values, map(_TEXT_SPECS.get, map(type, values)))]
         widths = [*map(max, widths, [max(map(len, values[i::width])) for i in range(width)])]
@@ -253,24 +247,6 @@ def _table(fmt: str, header: list[str], rows):
     for values in kept:
         lines = map(template.__mod__, zip(*[iter(values.split("\0"))] * width))
         yield "\n".join(map(str.rstrip, lines)) + "\n"
-
-
-def _csv_quoted(strings) -> dict[str, str]:
-    """What csv.writer writes for each of ``strings`` alone in a row.  Python
-    versions differ on some strings that csv quotes (3.11 writes a trailing
-    CR bare, 3.13 quotes it), so csv decides them.  A NUL, which csv before
-    3.11 refuses and later versions write as is, reaches csv as a character
-    the string does not hold."""
-    import csv
-    import io
-
-    quoted = {}
-    for value in strings:
-        nul = next(c for c in map(chr, range(0xE000, 0xF900)) if c not in value)
-        csv.writer(sink := io.StringIO(), lineterminator="\n").writerow(
-            [value.replace("\0", nul)])
-        quoted[value] = sink.getvalue()[:-1].replace(nul, "\0")
-    return quoted
 
 
 def cmd_optimize(args):

@@ -228,9 +228,9 @@ def _block(g: Geometry, constants, edge: float, spread: float, j1_min: int,
 
 def _scan(g: Geometry, threshold: float, j1_max: int, j2s):
     """The cheapest (j1, j2), j1 <= ``j1_max`` and j2 in ``j2s``, whose block
-    success reaches ``threshold``, or None.  ``j2s`` holds rows and
-    ascending ranges of rows, taken in the order given; what every row
-    shares is computed once.
+    success reaches ``threshold``, or None.  ``j2s`` holds ascending
+    ranges of rows, taken in the order given; what every row shares is
+    computed once.
 
     With (P, Q) = R*(cos(delta), sin(delta)) the outside amplitude is
     R*sin(phi + delta).  Three tests skip only candidates above ``edge``,
@@ -285,9 +285,7 @@ def _scan(g: Geometry, threshold: float, j1_max: int, j2s):
             rows = range(start, stop)
         else:
             rows = pending.pop()
-            if type(rows) is not range:
-                rows = (rows,)
-            elif len(rows) > leaf:
+            if len(rows) > leaf:
                 heap = [_block(g, constants, edge, spread, j1_min,
                                rows.start, rows.stop)]
                 continue
@@ -361,9 +359,9 @@ def optimal_exact_schedule(
     j1_max = math.ceil(math.pi * math.sqrt(g.n_items) / 4.0)
     j2_max = math.ceil(math.pi * math.sqrt(g.block_size) / 2.0)
 
-    first = asymptotic_schedule(g).j2
+    j2 = asymptotic_schedule(g).j2
     best = _scan(g, success_threshold, j1_max,
-                 (first, range(first), range(first + 1, j2_max + 1)))
+                 (range(j2, j2 + 1), range(j2), range(j2 + 1, j2_max + 1)))
     if best is None:
         raise InfeasibleError(
             f"no schedule with j1 <= {j1_max}, j2 <= {j2_max} reaches "

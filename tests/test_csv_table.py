@@ -1,14 +1,16 @@
 """The CSV list-report writer against ``csv.writer``, on the running Python.
 
-``cli._table`` writes CSV rows through one ``%s`` template and hands csv
-only the strings it would quote; which of those csv quotes differs between
-Python versions.  Nothing here imports numpy or hypothesis, so this module
-also runs where only pytest is, on every Python that ``requires-python``
-claims."""
+``cli._table`` writes CSV rows through one ``%s`` template alone, which
+gives csv's bytes only for cells that csv writes bare: no string holding a
+comma, a double quote, a CR, an LF or a NUL, and no empty cell in a
+one-column table.  Every report the CLI makes keeps to that, as checked
+here.  Nothing here imports numpy or hypothesis, so this module also runs
+where only pytest is, on every Python that ``requires-python`` claims."""
 
 import csv
 import io
 import itertools
+import json
 import math
 import os
 import subprocess
@@ -18,20 +20,16 @@ from pathlib import Path
 import pytest
 
 import pgsearch.cli as cli
+from pgsearch.analysis import MISPRINT_NOTE_K4
 
-from test_pins import _assert_same_report
+from test_pins import GOLDEN_CASES, GOLDEN_DIR, _assert_same_report
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-#: csv before Python 3.11 refuses to write a NUL ("need to escape");
-#: later versions write it bare, as ``cli._table`` does on every version.
-NUL_REFUSED = sys.version_info < (3, 11)
-
-#: The fixed edge strings of ``tests/test_cli.py::_SCALARS``, and strings
-#: made of the template's own characters.
-EDGE_STRINGS = ["", " ", "a,b", 'say "hi"', "two\nlines", "cr\r", "café",
-                "日本", "tab\t", "trailing  ", "{0}", "}{", "%s", "%%", "%",
-                ",", '"', "\r\n", "\n", *([] if NUL_REFUSED else ["nul\x00"])]
+#: The fixed edge strings of ``tests/test_cli.py::_SCALARS`` that csv writes
+#: bare, and strings made of the template's own characters.
+EDGE_STRINGS = ["", " ", "café", "日本", "tab\t", "trailing  ", "{0}", "}{",
+                "%s", "%%", "%"]
 CELLS = [*EDGE_STRINGS, True, False, 0, -7, 2**70, 0.1, -0.0, 5e-324, 1e16,
          math.nan, -math.inf]
 
@@ -46,29 +44,60 @@ def _reference(header, rows) -> str:
     return sink.getvalue()
 
 
-@pytest.mark.parametrize("width", [1, 2, 3])
-@pytest.mark.parametrize("header", ["names", "empty", "quoted"])
+@pytest.mark.parametrize("header, width", [
+    ("names", 1), ("names", 2), ("names", 3), ("empty", 2), ("empty", 3)])
 def test_csv_table_matches_csv_writer(width, header):
-    # Every row of ``width`` cells drawn from CELLS, 29,791 at width 3, so
-    # that chunks with and without quoted strings follow each other.
-    header = {"names": [f"h{i}" for i in range(width)], "empty": [""] * width,
-              "quoted": ["a,b", "cr\r", 'say "hi"'][:width]}[header]
-    rows = [*itertools.product(CELLS, repeat=width)]
+    # Every row of ``width`` cells drawn from CELLS, 10,648 at width 3; no
+    # empty cell in a one-column table, which csv quotes.
+    header = {"names": [f"h{i}" for i in range(width)], "empty": [""] * width}[header]
+    cells = [cell for cell in CELLS if width > 1 or cell != ""]
+    rows = [*itertools.product(cells, repeat=width)]
     _assert_same_report("".join(cli._table("csv", header, rows)), _reference(header, rows))
-    for cell in CELLS:  # each cell alone, first in a table of plain rows
+    for cell in cells:  # each cell alone, first in a table of plain rows
         rows = [(cell,) * width, *[(1,) * width] * 5000]
         _assert_same_report("".join(cli._table("csv", header, rows)),
                             _reference(header, rows), repr(cell))
 
 
-def test_csv_writes_nul_bare():
-    assert "".join(cli._table("csv", ["a", "b"], [("nul\x00", 1)])) == "a,b\nnul\x00,1\n"
+CSV_GOLDENS = sorted(GOLDEN_DIR.glob("*.csv"))
 
 
-def test_csv_quotes_a_string_holding_a_nul_as_3_11_does():
-    rows = [("a,\x00", '\x00"'), ("\x00\ue000\n", 1)]
-    assert "".join(cli._table("csv", ["a", "b"], rows)) == (
-        'a,b\n"a,\x00","\x00"""\n"\x00\ue000\n",1\n')
+def test_csv_goldens_are_the_csv_cases():
+    """The files checked below are every CSV case of ``cases.json``."""
+    assert CSV_GOLDENS
+    assert [path.name for path in CSV_GOLDENS] == sorted(
+        case_id for case_id in GOLDEN_CASES if case_id.endswith(".csv"))
+
+
+@pytest.mark.parametrize("path", CSV_GOLDENS, ids=lambda path: path.name)
+def test_csv_goldens_need_no_quoting(path):
+    """Each CSV golden is what csv.writer writes of its own cells, and holds
+    no double quote: no cell of it is quoted."""
+    text = path.read_bytes().decode()
+    assert '"' not in text, path.name
+    header, *rows = csv.reader(io.StringIO(text, newline=""))
+    _assert_same_report(_reference(header, rows), text, path.name)
+
+
+def _json_report(argv, capsys):
+    assert cli.main([*argv, "--format", "json"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_no_string_the_cli_writes_needs_quoting(capsys):
+    """The string cells of the CLI's reports, goldens or not: the compare
+    note, the ``inf`` block count, the schedule modes, the bound variants
+    and the simulate engines.  csv writes each bare, even alone in a
+    one-column table."""
+    schedule = _json_report(["schedule", "--n", "1024", "--k", "4", "--exact"], capsys)
+    bound = _json_report(["bound", "--n", "1024", "--k", "4"], capsys)
+    engines = cli._build_parser()[1]["simulate"][1]["--engine"].choices
+    strings = [MISPRINT_NOTE_K4, "inf", *[row["mode"] for row in schedule["schedules"]],
+               *bound["bounds"], *engines]
+    assert len(strings) == 2 + 2 + 5 + 2
+    for value in strings:
+        assert value and not set(value) & set(',"\r\n\0'), value
+        assert _reference([value], [[value]]) == f"{value}\n{value}\n"
 
 
 def test_csv_is_not_imported_by_the_cli():

@@ -579,7 +579,7 @@ def test_rows_skip_only_surely_infeasible_candidates(n, k, threshold, monkeypatc
     monkeypatch.setattr(pgsearch.optimizer, "_outside_at", recording)
     for j2 in range(j2_max + 1):
         evaluated.clear()
-        got = pgsearch.optimizer._scan(g, threshold, j1_max, [j2])
+        got = pgsearch.optimizer._scan(g, threshold, j1_max, [range(j2, j2 + 1)])
         feasible = [
             j1 for j1 in range(j1_max + 1)
             if block_success_probability(schedule_state(g, Schedule(j1, j2)), g)
@@ -612,7 +612,7 @@ def test_windows_start_past_surely_infeasible_candidates_at_large_n(n, k, monkey
     checked = 0
     for j2 in random.Random(n + k).sample(range(j2_max + 1), 16):
         evaluated.clear()
-        pgsearch.optimizer._scan(g, 0.99, j1_max, [j2])
+        pgsearch.optimizer._scan(g, 0.99, j1_max, [range(j2, j2 + 1)])
         below = {j1 - 1 for j1 in evaluated} - evaluated - {-1}
         assert all(_closed_form_success(g, j1, j2) < low for j1 in below), j2
         checked += len(below)
