@@ -19,6 +19,16 @@ template per row: no string the CLI writes holds a comma, a double quote,
 a CR, an LF or a NUL, and no one-column table has an empty cell, so no
 cell is quoted.  Identical invocations produce byte-identical output.
 
+The list reports are made in chunks of 4096 rows, on every CPU of the
+process's affinity.  When its writing starts, after ``--output`` is
+opened, a report of several chunks forks one worker per further CPU;
+worker w of W makes chunks w, w + W, ... and sends each, rendered, through
+its own pipe, and the parent makes the rest and writes them all in order,
+so the bytes are those of one process.  A worker leaves only through
+``os._exit``; one that dies leaves its chunks to the parent; each is
+killed and reaped before ``main`` returns.  Nothing forks for one chunk,
+under one CPU (``taskset -c 0``), or while another thread runs.
+
 Command lines are parsed by argparse, the only source of usage and error
 text, or, when canonical, from a table of the same argparse actions, which
 gives the same namespace in about a tenth of the time.  An argv is canonical when
@@ -40,6 +50,7 @@ import argparse
 import functools
 import itertools
 import json
+import marshal
 import math
 import operator
 import os
@@ -130,7 +141,7 @@ def _int_at_least(lo: int):
     return parse
 
 
-#: Rows in one list of a list report, and block counts in one compare table.
+#: Rows in one chunk of a list report, the most one process makes at a time.
 _CHUNK = 4096
 
 #: The format() spec of a text cell, by value type: 6 significant digits
@@ -164,14 +175,14 @@ def _json(value, indent: str = "\n") -> str:
 
 def _render(fmt: str, header: list[str], rows, doc, transpose=False) -> str:
     """A fixed-size report: ``doc`` as ``json.dumps(doc, indent=2, sort_keys=True)``,
-    written by :func:`_json`, or ``rows`` as a CSV or text :func:`_table`; with
-    ``transpose`` the text form prints one ``name  value`` line per column,
-    for single-row reports."""
+    written by :func:`_json`, or ``rows`` as a one-chunk CSV or text
+    :func:`_table`; with ``transpose`` the text form prints one
+    ``name  value`` line per column, for single-row reports."""
     if fmt == "json":
         return _json(doc) + "\n"
     if transpose and fmt == "text":
         header, *rows = zip(header, *rows)
-    return "".join(_table(fmt, header, rows))
+    return "".join(_table(fmt, header, [lambda: rows]))
 
 
 @functools.cache
@@ -196,68 +207,176 @@ def _fixed_mmap_threshold() -> None:
     ctypes.CDLL(None).mallopt(-3, 128 * 1024)  # M_MMAP_THRESHOLD
 
 
-def _chunks(rows):
-    """Number and yield ``rows`` in lists of ``_CHUNK``; a report that runs past
-    one list first fixes the mmap threshold (:func:`_fixed_mmap_threshold`)."""
-    for i, chunk in enumerate(iter(lambda: [*itertools.islice(rows, _CHUNK)], [])):
-        if i == 1:
-            _fixed_mmap_threshold()
-        yield i, chunk
+def _workers(n: int) -> int:
+    """Processes to make ``n`` pieces: one per CPU of this process's affinity
+    (``taskset`` narrows it), at most ``n``; one where there is no
+    affinity, or while another thread runs, since a fork can then deadlock."""
+    if n < 2 or not hasattr(os, "sched_getaffinity"):
+        return 1
+    import threading  # for reports of several chunks only
+
+    return 1 if threading.active_count() > 1 else min(n, len(os.sched_getaffinity(0)))
 
 
-def _table(fmt: str, header: list[str], rows):
-    """Yield the table of ``rows`` under ``header``, at most ``_CHUNK`` rows a
-    piece: as text, CSV, or the JSON list that json.dumps writes of the
-    records ``dict(zip(map(str.lower, header), row))`` with indent=2 and
-    sorted keys.  Cells are bools, ints, floats and strings that csv.writer
-    writes bare (no comma, double quote, CR, LF or NUL; no empty cell in a
-    one-column table), made into text by C-level maps; JSON takes one or
-    more rows of ints, finite floats (whose str() is what the C encoder
-    writes) and strings."""
-    width = len(header)
-    rows = itertools.chain([header] if fmt != "json" else [], rows)
-    chunks = _chunks(rows)
+def _send(fd: int, pieces) -> None:
+    """Write each piece to ``fd``, marshalled, behind its length."""
+    with open(fd, "wb") as pipe:
+        for piece in pieces:
+            data = marshal.dumps(piece)
+            pipe.write(len(data).to_bytes(8, "little"))
+            pipe.write(data)
+            pipe.flush()
+
+
+def _received(pipe):
+    """The next piece :func:`_send` wrote to ``pipe``, or None after a short
+    read: the worker died."""
+    head = pipe.read(8)
+    size = int.from_bytes(head, "little")
+    if len(head) == 8 and len(data := pipe.read(size)) == size:
+        return marshal.loads(data)
+    return None
+
+
+def _pieces(n: int, make):
+    """Yield ``make(0)``, ..., ``make(n - 1)``, made by :func:`_workers`
+    processes.  At the first ``next()`` of more than one piece this process
+    fixes the mmap threshold, so that workers inherit it, and forks W - 1
+    workers: worker w makes pieces w, w + W, ... and sends each through its
+    own pipe; this process makes the others and reads the workers' pieces
+    in order.  A worker leaves only through ``os._exit``: it never returns
+    into its caller's frames, runs no ``atexit`` hook and flushes no buffer
+    of this process's.  A worker that dies, or is never forked, leaves its
+    pieces to this process, which makes the same ones.  On every way out
+    the pipes are closed and each worker is killed and reaped."""
+    if n > 1:
+        _fixed_mmap_threshold()
+    workers = _workers(n)
+    if workers == 1:
+        yield from map(make, range(n))
+        return
+    import signal  # loaded only where workers are forked
+
+    pids, pipes = [], [None] * workers  # pipes[0]: this process makes those pieces
+    try:
+        for w in range(1, workers):
+            fd, worker_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: this one makes the rest
+                os.close(fd)
+                os.close(worker_fd)
+                break
+            if pid == 0:
+                try:
+                    os.close(fd)
+                    for pipe in pipes[1:w]:
+                        pipe.close()
+                    _send(worker_fd, map(make, range(w, n, workers)))
+                finally:
+                    os._exit(0)
+            pids.append(pid)
+            os.close(worker_fd)
+            pipes[w] = open(fd, "rb")
+        for i in range(n):
+            pipe = pipes[i % workers]
+            piece = None if pipe is None else _received(pipe)  # a dead worker's reads are short
+            yield make(i) if piece is None else piece
+    finally:
+        for pipe in filter(None, pipes):
+            pipe.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _table(fmt: str, header: list[str], makers):
+    """Yield the table under ``header`` of the rows that ``makers`` make, a
+    piece per maker: as text, CSV, or the JSON list that json.dumps writes
+    of the records ``dict(zip(map(str.lower, header), row))`` with indent=2
+    and sorted keys.  Each maker takes no argument and returns a list of
+    rows, one chunk of the report (at most ``_CHUNK`` rows in the CLI's
+    reports); the chunks are made and rendered by :func:`_pieces`, on
+    every CPU, and text is padded here once every column width is known.
+    Cells are bools, ints, floats and strings that csv.writer writes bare
+    (no comma, double quote, CR, LF or NUL; no empty cell in a one-column
+    table), made into text by C-level maps; JSON takes one or more rows of
+    ints, finite floats (whose str() is what the C encoder writes) and
+    strings."""
+    width, last = len(header), len(makers) - 1
     if fmt == "json":
         encode, keys = json.encoder.encode_basestring_ascii, [*map(str.lower, header)]
         picks = [operator.itemgetter(keys.index(key)) for key in sorted(keys)]
         template = "  {\n%s\n  }" % ",\n".join([f"    {encode(k)}: %s" for k in sorted(keys)])
-        for i, chunk in chunks:
+
+        def records(i: int) -> str:
+            chunk = makers[i]()
             # Columns read from the rows: a transposed chunk grew RSS by about 10%.
             columns = [map(pick, chunk) for pick in picks]
             for j, pick in enumerate(picks):  # strings are encoded cell by cell
                 if str in set(map(type, map(pick, chunk))):
                     columns[j] = (encode(v) if type(v) is str else v for v in columns[j])
-            yield (",\n" if i else "[\n") + ",\n".join(map(template.__mod__, zip(*columns)))
+            return (",\n" if i else "[\n") + ",\n".join(map(template.__mod__, zip(*columns)))
+
+        yield from _pieces(len(makers), records)
         yield "\n]\n"
         return
-    kept, widths, template = [], [0] * width, ",".join(["%s"] * width) + "\n"
-    for _, chunk in chunks:
-        # Cells row after row, regrouped into rows by zip(*[iter(values)] * width).
-        values = [*itertools.chain.from_iterable(chunk)]
+    template = ",".join(["%s"] * width) + "\n"
+
+    def cells(i: int):
+        """Chunk i as CSV, or as its text column widths and cells."""
+        # Cells row after row, the header first, regrouped into rows by
+        # zip(*[iter(values)] * width).
+        rows = makers[i]()
+        values = [*itertools.chain.from_iterable([header, *rows] if i == 0 else rows)]
         if bool in set(map(type, values)):
             values = [_JSON_WORDS(v) if type(v) is bool else v for v in values]
         if fmt == "csv":  # as csv.writer: ints and strings by str(), floats by repr()
-            yield "".join(map(template.__mod__, zip(*[iter(values)] * width)))
-            continue
+            return "".join(map(template.__mod__, zip(*[iter(values)] * width)))
         values = [*map(format, values, map(_TEXT_SPECS.get, map(type, values)))]
-        widths = [*map(max, widths, [max(map(len, values[i::width])) for i in range(width)])]
-        # Kept until all widths are known, as one string: no cell has "\0".
-        kept.append("\0".join(values))
-    template = "  ".join([f"%-{w}s" for w in widths])
-    for values in kept:
-        lines = map(template.__mod__, zip(*[iter(values.split("\0"))] * width))
+        # Kept until every width is known, as one string (no cell has "\0");
+        # the last chunk's cells are padded as they are.
+        return ([max(map(len, values[j::width])) for j in range(width)],
+                values if i == last else "\0".join(values))
+
+    if fmt == "csv":
+        yield from _pieces(len(makers), cells)
+        return
+    kept = [*_pieces(len(makers), cells)]
+    padded = "  ".join([f"%-{max(w)}s" for w in zip(*[widths for widths, _ in kept])])
+    for _, values in kept:
+        values = values.split("\0") if type(values) is str else values
+        lines = map(padded.__mod__, zip(*[iter(values)] * width))
         yield "\n".join(map(str.rstrip, lines)) + "\n"
+
+
+def _slices(parts) -> list[list]:
+    """The values of ``parts`` (ranges and tuples, as :func:`_k_parts`
+    gives them) cut into chunks of ``_CHUNK``, each a list of slices."""
+    chunks, chunk, room = [], [], _CHUNK
+    for part in parts:
+        while part:
+            chunk.append(part[:room])
+            part, room = part[room:], room - len(chunk[-1])
+            if not room:
+                chunks.append(chunk)
+                chunk, room = [], _CHUNK
+    return chunks + [chunk] if chunk else chunks
+
+
+def _optimize_rows(parts) -> list[tuple]:
+    return [("inf" if math.isinf(k) else k, *asymptotic_optimum(k)[:3])
+            for k in itertools.chain.from_iterable(parts)]
 
 
 def cmd_optimize(args):
     header = ["K", "alpha", "eta", "c"]
     for part in args.k:  # every count, before any row is written
         _check_k(part[0])
-    rows = (("inf" if math.isinf(k) else k, *asymptotic_optimum(k)[:3])
-            for k in itertools.chain.from_iterable(args.k))
     if sum(map(len, args.k)) > 1:
-        return _table(args.format, header, rows)
-    row = next(rows)
+        return _table(args.format, header,
+                      [functools.partial(_optimize_rows, chunk) for chunk in _slices(args.k)])
+    row = _optimize_rows(args.k)[0]
     return [_render(args.format, header, [row], dict(zip(map(str.lower, header), row)))]
 
 
@@ -301,6 +420,12 @@ def cmd_simulate(args) -> list[str]:
     return [_render(args.format, list(row), [row.values()], row, transpose=True)]
 
 
+def _compare_rows(parts) -> list:
+    """The compare rows of ``parts``, ranges of block counts, each a table."""
+    return [*itertools.chain.from_iterable(comparison_table(part[0], part[-1])
+                                           for part in parts)]
+
+
 def cmd_compare(args):
     for part in args.k:  # every part, in spec order, before any row is built
         if math.isinf(part[0]):
@@ -308,11 +433,9 @@ def cmd_compare(args):
         _check_table_range(part[0], part[0])
         k = min(part[-1], max(part[0], MAX_TABLE_K + 1))  # first K past the table, if any
         _check_table_range(k, k)
-    # Tables of at most _CHUNK K, each built as the writer takes its rows.
-    tables = (comparison_table(lo, min(lo + _CHUNK - 1, part[-1]))
-              for part in args.k for lo in part[::_CHUNK])
     header = ["K", "s_coeff", "r_coeff", "p_interrupted", "c", "note"]
-    return _table(args.format, header, itertools.chain.from_iterable(tables))
+    return _table(args.format, header,
+                  [functools.partial(_compare_rows, chunk) for chunk in _slices(args.k)])
 
 
 def cmd_bound(args) -> list[str]:
@@ -459,11 +582,15 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("--output and --emit-state name the same file")
     try:
         report = args.handler(args)  # checks the whole request first
-        if args.output is not None:  # "" too: open() refuses it
-            with open(args.output, "w", newline="") as fh:
-                fh.writelines(report)
-        else:
-            sys.stdout.writelines(report)
+        try:
+            if args.output is not None:  # "" too: open() refuses it
+                with open(args.output, "w", newline="") as fh:
+                    fh.writelines(report)
+            else:
+                sys.stdout.writelines(report)
+        finally:
+            if type(report) is not list:  # a list report: its workers end here
+                report.close()
     except (PartialSearchError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, InfeasibleError):

@@ -28,6 +28,7 @@ from pgsearch import (
 from pgsearch.analysis import MAX_TABLE_K
 from pgsearch.cli import _build_parser, main, parse_k_spec
 
+from test_list_workers import chunked
 from test_optimizer import _mp_block_success
 from test_pins import GOLDEN_CASES, _assert_golden, _assert_same_report
 
@@ -194,7 +195,7 @@ def test_render_matches_per_cell_reference(table, fmt, transpose):
     expected = _reference_render(fmt, header, rows, None, transpose)
     _assert_same_report(cli._render(fmt, header, rows, None, transpose), expected)
     if not transpose:
-        _assert_same_report("".join(cli._table(fmt, header, rows)), expected)
+        _assert_same_report("".join(cli._table(fmt, header, chunked(rows))), expected)
     rows = (tuple(row) for row in rows)  # compare passes a generator
     _assert_same_report(cli._render(fmt, header, rows, None, transpose), expected)
 
@@ -260,7 +261,7 @@ _COLUMNS = st.sampled_from([_INTS, _FINITE, _NOTES, st.one_of(_INTS, st.just("in
 def test_compare_records_match_json_dumps(rows):
     dicts = [{"k": k, "s_coeff": s, "r_coeff": r, "p_interrupted": p, "c": c,
               "note": note} for k, s, r, p, c, note in rows]
-    assert "".join(cli._table("json", _COMPARE_HEADER, rows)) == (
+    assert "".join(cli._table("json", _COMPARE_HEADER, chunked(rows))) == (
         json.dumps(dicts, indent=2, sort_keys=True) + "\n")
 
 
@@ -270,7 +271,7 @@ def test_compare_records_match_json_dumps(rows):
 def test_optimize_records_match_json_dumps(rows):
     rows = [("inf" if k == math.inf else k, alpha, eta, c) for k, alpha, eta, c in rows]
     dicts = [{"k": k, "alpha": alpha, "eta": eta, "c": c} for k, alpha, eta, c in rows]
-    assert "".join(cli._table("json", _OPTIMIZE_HEADER, rows)) == (
+    assert "".join(cli._table("json", _OPTIMIZE_HEADER, chunked(rows))) == (
         json.dumps(dicts, indent=2, sort_keys=True) + "\n")
 
 
@@ -296,7 +297,7 @@ def _list_reports(draw):
 def test_records_json_matches_json_dumps(report):
     header, rows = report
     dicts = [dict(zip(map(str.lower, header), row)) for row in rows]
-    assert "".join(cli._table("json", header, rows)) == (
+    assert "".join(cli._table("json", header, chunked(rows))) == (
         json.dumps(dicts, indent=2, sort_keys=True) + "\n")
 
 

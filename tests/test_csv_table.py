@@ -22,6 +22,7 @@ import pytest
 import pgsearch.cli as cli
 from pgsearch.analysis import MISPRINT_NOTE_K4
 
+from test_list_workers import chunked
 from test_pins import GOLDEN_CASES, GOLDEN_DIR, _assert_same_report
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -52,10 +53,11 @@ def test_csv_table_matches_csv_writer(width, header):
     header = {"names": [f"h{i}" for i in range(width)], "empty": [""] * width}[header]
     cells = [cell for cell in CELLS if width > 1 or cell != ""]
     rows = [*itertools.product(cells, repeat=width)]
-    _assert_same_report("".join(cli._table("csv", header, rows)), _reference(header, rows))
+    _assert_same_report("".join(cli._table("csv", header, chunked(rows))),
+                        _reference(header, rows))
     for cell in cells:  # each cell alone, first in a table of plain rows
         rows = [(cell,) * width, *[(1,) * width] * 5000]
-        _assert_same_report("".join(cli._table("csv", header, rows)),
+        _assert_same_report("".join(cli._table("csv", header, chunked(rows))),
                             _reference(header, rows), repr(cell))
 
 

@@ -2,8 +2,9 @@
 process: a row of ``PINS`` (adding a pin means adding a row) or a golden of
 ``tests/data/cli``; the exact winners over a grid are pinned in-process.
 Without ``--engine full`` numpy and dataclasses are made unimportable: the
-reduced commands are pure Python.  A full-engine pin is skipped without numpy
-and runs again under ``taskset -c 0`` where CPU 0 is ours.  Nothing here imports
+reduced commands are pure Python.  A full-engine pin is skipped without numpy;
+it, and each 10^6-row compare pin, runs again under ``taskset -c 0`` where
+CPU 0 is ours.  Nothing here imports
 numpy, hypothesis, mpmath or a test module: it runs where only pytest is."""
 
 import hashlib
@@ -201,11 +202,12 @@ def run(argv, cwd, write, prefix=(), timeout=None):
 
 
 def _params(items):
-    """Params of ``(argv, value)`` pairs; a full-engine one runs on CPU 0 too."""
+    """Params of ``(argv, value)`` pairs; a full-engine one, and a 10^6-row
+    compare, runs on CPU 0 too: both are split across every CPU we have."""
     for argv, value in items:
         no_numpy = pytest.mark.skipif("full" in argv and not HAS_NUMPY, reason="no numpy")
         yield pytest.param(value, (), id=" ".join(argv), marks=no_numpy)
-        if "full" in argv:
+        if "full" in argv or argv[:3] == ["compare", "--k", "2..1000000"]:
             yield pytest.param(value, ONE_CPU, id=" ".join([*ONE_CPU, *argv]), marks=[
                 no_numpy, pytest.mark.skipif(not CAN_PIN, reason="CPU 0 is not ours")])
 
