@@ -27,7 +27,7 @@ its own pipe, and the parent makes the rest and writes them all in order,
 so the bytes are those of one process.  A worker leaves only through
 ``os._exit``; one that dies leaves its chunks to the parent; each is
 killed and reaped before ``main`` returns.  Nothing forks for one chunk,
-under one CPU (``taskset -c 0``), or while another thread runs.
+under one CPU (``taskset -c 0``), or while another Python thread runs.
 
 Command lines are parsed by argparse, the only source of usage and error
 text, or, when canonical, from a table of the same argparse actions, which
@@ -207,17 +207,6 @@ def _fixed_mmap_threshold() -> None:
     ctypes.CDLL(None).mallopt(-3, 128 * 1024)  # M_MMAP_THRESHOLD
 
 
-def _workers(n: int) -> int:
-    """Processes to make ``n`` pieces: one per CPU of this process's affinity
-    (``taskset`` narrows it), at most ``n``; one where there is no
-    affinity, or while another thread runs, since a fork can then deadlock."""
-    if n < 2 or not hasattr(os, "sched_getaffinity"):
-        return 1
-    import threading  # for reports of several chunks only
-
-    return 1 if threading.active_count() > 1 else min(n, len(os.sched_getaffinity(0)))
-
-
 def _send(fd: int, pieces) -> None:
     """Write each piece to ``fd``, marshalled, behind its length."""
     with open(fd, "wb") as pipe:
@@ -239,24 +228,27 @@ def _received(pipe):
 
 
 def _pieces(n: int, make):
-    """Yield ``make(0)``, ..., ``make(n - 1)``, made by :func:`_workers`
-    processes.  At the first ``next()`` of more than one piece this process
-    fixes the mmap threshold, so that workers inherit it, and forks W - 1
-    workers: worker w makes pieces w, w + W, ... and sends each through its
-    own pipe; this process makes the others and reads the workers' pieces
-    in order.  A worker leaves only through ``os._exit``: it never returns
-    into its caller's frames, runs no ``atexit`` hook and flushes no buffer
-    of this process's.  A worker that dies, or is never forked, leaves its
-    pieces to this process, which makes the same ones.  On every way out
-    the pipes are closed and each worker is killed and reaped."""
+    """Yield ``make(0)``, ..., ``make(n - 1)``, made by W processes: one per
+    CPU of this process's affinity (``taskset`` narrows it), at most ``n``;
+    one where there is no affinity, or while another Python thread runs,
+    since a fork can then deadlock (threads started outside Python, such as
+    a BLAS pool, are not seen).  At the first ``next()`` of more than one
+    piece this process fixes the mmap threshold, so that workers inherit
+    it, and forks W - 1 workers: worker w makes pieces w, w + W, ... and
+    sends each through its own pipe; this process makes the others and
+    reads the workers' pieces in order.  A worker leaves only through
+    ``os._exit``: it never returns into its caller's frames, runs no
+    ``atexit`` hook and flushes no buffer of this process's.  A worker that
+    dies, or is never forked, leaves its pieces to this process, which
+    makes the same ones.  On every way out the pipes are closed and each
+    worker is killed and reaped."""
+    workers = 1
     if n > 1:
         _fixed_mmap_threshold()
-    workers = _workers(n)
-    if workers == 1:
-        yield from map(make, range(n))
-        return
-    import signal  # loaded only where workers are forked
+        import threading  # for reports of several chunks only
 
+        if hasattr(os, "sched_getaffinity") and threading.active_count() == 1:
+            workers = min(n, len(os.sched_getaffinity(0)))
     pids, pipes = [], [None] * workers  # pipes[0]: this process makes those pieces
     try:
         for w in range(1, workers):
@@ -285,9 +277,12 @@ def _pieces(n: int, make):
     finally:
         for pipe in filter(None, pipes):
             pipe.close()
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        if pids:
+            import signal  # loaded only where workers were forked
+
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def _table(fmt: str, header: list[str], makers):
